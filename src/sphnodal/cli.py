@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -183,11 +182,8 @@ def _cmd_mc_verify(cfg: RunConfig):
     rows = []
     for n in cfg.n:
         model = specfun.SphereModel(cfg.m, n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = nodal.monte_carlo_experiment(model, cfg.mesh_level,
-                                               cfg.samples, cfg.seed,
-                                               workers=cfg.workers)
+        rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples,
+                                           cfg.seed, workers=cfg.workers)
         d = rep.as_dict()
         rows.append([d[c] for c in columns])
     return columns, rows, []

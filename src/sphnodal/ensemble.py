@@ -40,6 +40,7 @@ __all__ = [
 POLE_SIN_CUTOFF = 1e-8
 SOUTH_CAP = 1e-6
 GAUSSIAN_FIELD_MAX_POINTS = 4000
+_BLOCK = 16384  # points per pass of the Legendre recurrence
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -73,54 +74,60 @@ class HarmonicSample:
     scale: float
 
 
-def _normalized_legendre_rows(n: int, cos_t: np.ndarray, sin_t: np.ndarray) -> np.ndarray:
-    """P-bar_{n,k}(cos theta) for k = 0..n.
+def _angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos theta, sin theta and phi of (npts, 3) unit points."""
+    cos_t = np.clip(points[:, 2], -1.0, 1.0)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    return cos_t, sin_t, np.arctan2(points[:, 1], points[:, 0])
+
+
+def _legendre_orders(n: int, cos_t: np.ndarray, sin_t: np.ndarray):
+    """Yield (k, P-bar_{n,k}, P-bar_{n-1,k}) of cos theta for k = 0..n.
 
     Fully normalized so that the real harmonics built from them are
-    orthonormal on the sphere (the 1/sqrt(4 pi) is folded into P-bar_00).
-    For each order the sectoral seed is climbed first, then degrees ascend
-    to n with two rolling arrays.  Sectorals underflow to zero harmlessly
-    near the poles.
+    orthonormal on the sphere (the 1/sqrt(4 pi) is folded into P-bar_00);
+    P-bar_{n-1,n} is None.  For each order the sectoral seed is climbed
+    first, then degrees ascend to n with two rolling arrays.  Sectorals
+    underflow to zero harmlessly near the poles.
     """
-    npts = cos_t.shape[0]
-    rows = np.zeros((n + 1, npts))
-    p_kk = np.full(npts, 1.0 / math.sqrt(4.0 * math.pi))
+    p_kk = np.full(cos_t.shape[0], 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(0, n + 1):
         if k > 0:
             p_kk = p_kk * sin_t * math.sqrt((2 * k + 1) / (2.0 * k))
         if k == n:
-            rows[k] = p_kk
-            break
+            yield k, p_kk, None
+            return
         p_prev = p_kk
         p_curr = math.sqrt(2 * k + 3.0) * cos_t * p_kk
         for deg in range(k + 2, n + 1):
             a = math.sqrt((4.0 * deg * deg - 1.0) / (deg * deg - k * k))
             b = math.sqrt(((deg - 1.0) ** 2 - k * k) / (4.0 * (deg - 1.0) ** 2 - 1.0))
             p_prev, p_curr = p_curr, a * (cos_t * p_curr - b * p_prev)
-        rows[k] = p_curr
-    return rows
+        yield k, p_curr, p_prev
 
 
 def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     """Values at an (npts, 3) array of unit points, shape (npts, 2n+1).
 
     Ordered k = -n..n; points at a pole take their azimuth from phi = 0,
-    where only the k = 0 harmonic survives anyway.
+    where only the k = 0 harmonic survives anyway.  Points are taken in
+    blocks of _BLOCK so the recurrence's arrays stay in cache.
     """
     points = np.asarray(points, float)
     n = basis.n
-    cos_t = np.clip(points[:, 2], -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    rows = _normalized_legendre_rows(n, cos_t, sin_t)
     vals = np.empty((points.shape[0], basis.size))
-    vals[:, n] = rows[0]
     sqrt2 = math.sqrt(2.0)
-    for k in range(1, n + 1):
-        c = np.cos(k * phi)
-        s = np.sin(k * phi)
-        vals[:, n + k] = sqrt2 * rows[k] * c
-        vals[:, n - k] = sqrt2 * rows[k] * s
+    for start in range(0, points.shape[0], _BLOCK):
+        cos_t, sin_t, phi = _angles(points[start:start + _BLOCK])
+        cols = np.empty((basis.size, cos_t.shape[0]))  # order-major: contiguous writes
+        for k, pn, _ in _legendre_orders(n, cos_t, sin_t):
+            if k == 0:
+                cols[n] = pn
+            else:
+                pn = sqrt2 * pn
+                cols[n + k] = pn * np.cos(k * phi)
+                cols[n - k] = pn * np.sin(k * phi)
+        vals[start:start + _BLOCK] = cols.T
     return vals
 
 
@@ -164,70 +171,53 @@ def _pole_gradient(sample: HarmonicSample) -> np.ndarray:
 def eval_gradient_ambient_many(sample: HarmonicSample, points: np.ndarray) -> np.ndarray:
     """Tangent gradients in ambient coordinates at many points.
 
-    Single fused pass: for each order the degree recurrence is climbed and
-    the theta/phi derivative contributions are contracted into running
-    accumulators right away, with cos(k phi), sin(k phi) advanced by the
-    angle-addition recurrence.  This is the hot path of nodal extraction
-    (one call per sample with every segment midpoint), so no per-order
-    tables or trig calls are materialized.  Inside a tiny polar cap the
-    exact north-pole limit takes over (the south cap is rejected).
+    For each order the theta/phi derivative contributions are contracted
+    into running accumulators right away, with cos(k phi), sin(k phi)
+    advanced by the angle-addition recurrence.  This is the hot path of
+    nodal extraction (one call per sample with every segment midpoint), so
+    no per-order tables or trig calls are materialized, and points are taken
+    in blocks of _BLOCK.  Inside a tiny polar cap the exact north-pole limit
+    takes over (the south cap is rejected).
     """
     points = np.asarray(points, float)
     n = sample.basis.n
     a = sample.a
-    npts = points.shape[0]
-    cos_t = np.clip(points[:, 2], -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    polar = sin_t < POLE_SIN_CUTOFF
-
     grads = np.zeros_like(points)
-    if n > 0:
-        safe_sin = np.where(polar, 1.0, sin_t)
-        df_dth = np.zeros(npts)
-        df_dphi_over_sin = np.zeros(npts)
-        cos_p = np.cos(phi)
-        sin_p = np.sin(phi)
-        ck = np.ones(npts)   # cos(k phi)
-        sk = np.zeros(npts)  # sin(k phi)
-        sqrt2 = math.sqrt(2.0)
-        dth_norm = math.sqrt((2 * n + 1.0) / (2 * n - 1.0)) if n >= 1 else 0.0
-        p_kk = np.full(npts, 1.0 / math.sqrt(4.0 * math.pi))
-        for k in range(0, n + 1):
-            if k > 0:
-                p_kk = p_kk * sin_t * math.sqrt((2 * k + 1) / (2.0 * k))
-                ck, sk = ck * cos_p - sk * sin_p, sk * cos_p + ck * sin_p
-            if k == n:
-                pn = p_kk
-                pn_prev = None
-            else:
-                p_prev = p_kk
-                p_curr = math.sqrt(2 * k + 3.0) * cos_t * p_kk
-                for deg in range(k + 2, n + 1):
-                    c1 = math.sqrt((4.0 * deg * deg - 1.0) / (deg * deg - k * k))
-                    c2 = math.sqrt(((deg - 1.0) ** 2 - k * k) / (4.0 * (deg - 1.0) ** 2 - 1.0))
-                    p_prev, p_curr = p_curr, c1 * (cos_t * p_curr - c2 * p_prev)
-                pn = p_curr
-                pn_prev = p_prev
-            dpk = n * cos_t * pn
-            if pn_prev is not None:
-                dpk = dpk - dth_norm * math.sqrt(float(n * n - k * k)) * pn_prev
-            dpk = dpk / safe_sin
-            if k == 0:
-                df_dth += a[n] * dpk
-            else:
-                df_dth += sqrt2 * dpk * (a[n + k] * ck + a[n - k] * sk)
-                df_dphi_over_sin += (sqrt2 * k) * (pn / safe_sin) * (a[n - k] * ck - a[n + k] * sk)
-        e_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
-        e_phi = np.stack([-sin_p, cos_p, np.zeros(npts)], axis=1)
-        grads = sample.scale * (df_dth[:, None] * e_theta
-                                + df_dphi_over_sin[:, None] * e_phi)
-
-    if np.any(polar):
-        north = cos_t[polar] > 0
-        if np.any(~north):
-            raise ValueError("gradient is not provided inside the south-pole cap")
-        grads[polar] = _pole_gradient(sample)
+    sqrt2 = math.sqrt(2.0)
+    dth_norm = math.sqrt((2 * n + 1.0) / (2 * n - 1.0)) if n >= 1 else 0.0
+    for start in range(0, points.shape[0], _BLOCK):
+        out = grads[start:start + _BLOCK]
+        cos_t, sin_t, phi = _angles(points[start:start + _BLOCK])
+        polar = sin_t < POLE_SIN_CUTOFF
+        if n > 0:
+            npts = cos_t.shape[0]
+            safe_sin = np.where(polar, 1.0, sin_t)
+            df_dth = np.zeros(npts)
+            df_dphi_over_sin = np.zeros(npts)
+            cos_p = np.cos(phi)
+            sin_p = np.sin(phi)
+            ck = np.ones(npts)   # cos(k phi)
+            sk = np.zeros(npts)  # sin(k phi)
+            for k, pn, pn_prev in _legendre_orders(n, cos_t, sin_t):
+                if k > 0:
+                    ck, sk = ck * cos_p - sk * sin_p, sk * cos_p + ck * sin_p
+                dpk = n * cos_t * pn
+                if pn_prev is not None:
+                    dpk = dpk - dth_norm * math.sqrt(float(n * n - k * k)) * pn_prev
+                dpk = dpk / safe_sin
+                if k == 0:
+                    df_dth += a[n] * dpk
+                else:
+                    df_dth += sqrt2 * dpk * (a[n + k] * ck + a[n - k] * sk)
+                    df_dphi_over_sin += (sqrt2 * k) * (pn / safe_sin) * (a[n - k] * ck - a[n + k] * sk)
+            e_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
+            e_phi = np.stack([-sin_p, cos_p, np.zeros(npts)], axis=1)
+            out[:] = sample.scale * (df_dth[:, None] * e_theta
+                                     + df_dphi_over_sin[:, None] * e_phi)
+        if np.any(polar):
+            if np.any(cos_t[polar] <= 0):
+                raise ValueError("gradient is not provided inside the south-pole cap")
+            out[polar] = _pole_gradient(sample)
     return grads
 
 

@@ -203,6 +203,12 @@ _ICO_FACES = np.array(
 )
 
 
+def _unit_rows(p: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; the row norm is sqrt of a matmul dot,
+    which rounds exactly as ``np.linalg.norm`` of each row alone."""
+    return p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+
+
 def icosphere(subdivisions: int) -> IcoMesh:
     """Icosahedron subdivided ``subdivisions`` times, vertices on the unit
     sphere.  Triangle count is 20 * 4^subdivisions; levels above 9 are
@@ -212,35 +218,26 @@ def icosphere(subdivisions: int) -> IcoMesh:
     if subdivisions > 9:
         raise ValueError("subdivision level above 9 exceeds the memory guard")
 
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTS]
+    vertices = _unit_rows(_ICO_VERTS)
     faces = _ICO_FACES.copy()
 
     for _ in range(subdivisions):
-        midpoint_cache: dict[tuple[int, int], int] = {}
+        # directed edges ab, bc, ca face by face; each new midpoint vertex is
+        # numbered by its edge's first appearance in this list
+        tail = faces.reshape(-1)
+        head = np.roll(faces, -1, axis=1).reshape(-1)
+        key = np.minimum(tail, head) * vertices.shape[0] + np.maximum(tail, head)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        new = first[order]
+        mids = vertices.shape[0] + rank[inverse].reshape(-1, 3)
+        vertices = np.vstack([vertices, _unit_rows(vertices[tail[new]] + vertices[head[new]])])
+        a, b, c = faces.T
+        ab, bc, ca = mids.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint_cache.get(key)
-            if idx is None:
-                p = verts[i] + verts[j]
-                p /= np.linalg.norm(p)
-                verts.append(p)
-                idx = len(verts) - 1
-                midpoint_cache[key] = idx
-            return idx
-
-        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-        for fi, (a, b, c) in enumerate(faces):
-            ab = midpoint(a, b)
-            bc = midpoint(b, c)
-            ca = midpoint(c, a)
-            new_faces[4 * fi + 0] = (a, ab, ca)
-            new_faces[4 * fi + 1] = (b, bc, ab)
-            new_faces[4 * fi + 2] = (c, ca, bc)
-            new_faces[4 * fi + 3] = (ab, bc, ca)
-        faces = new_faces
-
-    vertices = np.array(verts)
     v0 = vertices[faces[:, 0]]
     v1 = vertices[faces[:, 1]]
     v2 = vertices[faces[:, 2]]

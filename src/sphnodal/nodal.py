@@ -218,7 +218,7 @@ def _band_fraction(fvals: np.ndarray, level: np.ndarray | float) -> np.ndarray:
     frac = np.zeros_like(v1)
     frac[lev >= v3] = 1.0
     lower = (lev > v1) & (lev <= v2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f_low = (lev - v1) ** 2 / ((v2 - v1) * (v3 - v1))
         f_high = 1.0 - (v3 - lev) ** 2 / ((v3 - v1) * (v3 - v2))
     frac[lower] = np.nan_to_num(f_low, nan=0.0, posinf=1.0)[lower]

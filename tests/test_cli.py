@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -148,3 +149,14 @@ def test_module_error_propagates_with_parameters(capsys):
     err = capsys.readouterr().err
     assert "degenerate" in err
     assert "n=[2]" in err
+
+
+@pytest.mark.parametrize("level, expected", [(4, 1), (5, 0)])
+def test_mc_verify_reports_under_resolution(level, expected):
+    # n = 5 needs edges below pi/40 = 0.079; level 4 reaches 0.083, level 5 0.042
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(["mc-verify", "--m", "2", "--n", "5", "--mesh-level", str(level),
+                           "--samples", "4", "--seed", "1"])
+    assert code == 0
+    assert sum("under-resolved" in str(w.message) for w in caught) == expected

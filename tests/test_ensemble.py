@@ -151,6 +151,32 @@ def test_gradient_south_cap_rejected():
         en.eval_gradient_ambient(sample, -ge.north_pole(2))
 
 
+def _points_past_one_block(extra=5):
+    rng = np.random.default_rng(4)
+    return unit_points(rng, en._BLOCK + extra)
+
+
+def test_basis_rows_across_block_boundary_match_single_point():
+    basis = en.HarmonicBasis(9)
+    pts = _points_past_one_block()
+    vals = en.eval_basis_many(basis, pts)
+    for i in (0, en._BLOCK - 1, en._BLOCK, en._BLOCK + 1, len(pts) - 1):
+        assert np.array_equal(vals[i], en.eval_basis(basis, pts[i]))
+
+
+def test_gradient_pole_handling_in_second_block():
+    sample = en.sample_function(en.HarmonicBasis(6), 2)
+    pts = _points_past_one_block()
+    pts[en._BLOCK + 2] = ge.north_pole(2)
+    grads = en.eval_gradient_ambient_many(sample, pts)
+    assert np.array_equal(grads[en._BLOCK + 2], en._pole_gradient(sample))
+    assert np.array_equal(grads[en._BLOCK + 1],
+                          en.eval_gradient_ambient_many(sample, pts[en._BLOCK + 1:en._BLOCK + 2])[0])
+    pts[en._BLOCK + 3] = -ge.north_pole(2)
+    with pytest.raises(ValueError):
+        en.eval_gradient_ambient_many(sample, pts)
+
+
 def test_expected_gradient_norm_squared():
     n = 8
     model = sf.SphereModel(2, n)

@@ -165,6 +165,41 @@ def test_icosphere_area_sum():
     assert float(areas.sum()) == pytest.approx(4 * math.pi, rel=5e-3)
 
 
+def _icosphere_by_midpoint_cache(subdivisions):
+    """Reference subdivision: one face at a time, new vertices numbered as a
+    per-edge midpoint cache first meets them, each normalized alone."""
+    verts = [v / np.linalg.norm(v) for v in ge._ICO_VERTS]
+    faces = [tuple(f) for f in ge._ICO_FACES]
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                p = verts[i] + verts[j]
+                verts.append(p / np.linalg.norm(p))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_bit_identical_to_midpoint_cache(level):
+    mesh = ge.icosphere(level)
+    verts, faces = _icosphere_by_midpoint_cache(level)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, faces)
+    v = verts[faces]
+    dots = np.concatenate([np.sum(v[:, i] * v[:, (i + 1) % 3], axis=1) for i in range(3)])
+    assert mesh.edge_length_max == float(np.max(np.arccos(np.clip(dots, -1.0, 1.0))))
+
+
 def test_icosphere_guard():
     with pytest.raises(ValueError):
         ge.icosphere(10)

@@ -127,6 +127,15 @@ def test_band_fraction_bounds_and_monotone(vals, level):
     assert nd._band_fraction(f, level + 0.25)[0] >= frac - 1e-12
 
 
+def test_band_fraction_near_coincident_values_no_overflow_warning():
+    # the denominators underflow to subnormals; the overflowing quotients
+    # belong to entries the masks discard
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frac = nd._band_fraction(np.array([[-1e-160, 0.0, 1e-160]]), 3.0)
+    assert frac[0] == 1.0
+
+
 def test_sublevel_eps_list_validation(mesh_level5):
     sample, values = sample_with_values(8, 3, mesh_level5)
     with pytest.raises(ValueError):
