@@ -106,7 +106,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if key == "command":
                 continue
             if not hasattr(cfg, key):
-                raise SystemExit(f"unknown config key {key!r}")
+                raise SystemExit(f"error: unknown config key {key!r}")
             setattr(cfg, key, value)
     for key in ("m", "n", "mesh_level", "samples", "seed", "mc_paths", "eps0",
                 "theta_points", "workers", "output_path", "format"):
@@ -116,9 +116,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(cfg.n, int):
         cfg.n = [cfg.n]
     if cfg.mesh_level > 9:
-        raise SystemExit("mesh_level must be <= 9")
+        raise SystemExit("error: mesh_level must be <= 9")
     if not (0.0 < cfg.eps0 < 1.0):
-        raise SystemExit("eps0 must lie in (0, 1)")
+        raise SystemExit("error: eps0 must lie in (0, 1)")
+    if cfg.theta_points < 1:
+        raise SystemExit("error: theta_points must be >= 1")
     return cfg
 
 
@@ -196,22 +198,22 @@ def _cmd_covariance_check(cfg: RunConfig):
     smallest_safe = None
     for n in sorted(set(cfg.n)):
         model = specfun.SphereModel(cfg.m, n)
-        thetas = np.linspace(0.05, math.pi - 0.05, cfg.theta_points)
+        scan = np.linspace(0.05, math.pi - 0.05, cfg.theta_points)
+        fd_grid = np.linspace(0.4, math.pi - 0.4, 7)
+        all_blocks = covariance.blocks_at_many(model, np.concatenate((scan, fd_grid)))
         det_err = 0.0
         degenerate = 0
         min_eig = float("inf")
-        for th in thetas:
-            blocks = covariance.blocks_at(model, float(th))
+        for blocks in all_blocks[:len(scan)]:
             joint = covariance.gaussian_joint(blocks)
             det_sigma = float(np.prod(np.linalg.eigvalsh(joint.sigma)))
             det_err = max(det_err, abs(det_sigma - joint.a_det * joint.omega_det)
                           / max(1.0, abs(det_sigma)))
             degenerate += int(joint.degenerate)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(joint.omega)[0]) / blocks.scale)
+            min_eig = min(min_eig, float(joint.omega_eigs[0]) / blocks.scale)
         fd_err = 0.0
-        for th in np.linspace(0.4, math.pi - 0.4, 7):
-            blocks = covariance.blocks_at(model, float(th))
-            fd = covariance.finite_difference_blocks(model, float(th))
+        for blocks in all_blocks[len(scan):]:
+            fd = covariance.finite_difference_blocks(model, blocks.theta)
             closed = (blocks.u, blocks.d_long, blocks.h_long, blocks.h_trans)
             for got, want in zip(fd, closed):
                 fd_err = max(fd_err, abs(got - want) / max(1.0, blocks.scale))
@@ -229,12 +231,11 @@ def _cmd_kernel_profile(cfg: RunConfig):
         model = specfun.SphereModel(cfg.m, n)
         theta_c = moments._split_theta(model, cfg.eps0) if n >= 2 else 0.05
         thetas = np.linspace(theta_c, math.pi - theta_c, cfg.theta_points)
-        for i, th in enumerate(thetas):
-            blocks = covariance.blocks_at(model, float(th))
+        for i, blocks in enumerate(covariance.blocks_at_many(model, thetas)):
             value, se = moments.kernel_K(blocks, cfg.mc_paths,
                                          seed=moments._node_seed(cfg.seed, i))
             _, sigma_norm = covariance.s_matrix(blocks)
-            rows.append([cfg.m, n, float(th), math.cos(th), blocks.u,
+            rows.append([cfg.m, n, blocks.theta, math.cos(blocks.theta), blocks.u,
                          value, se, sigma_norm])
     return columns, rows, []
 

@@ -68,17 +68,21 @@ class CovarianceBlocks:
 
 @dataclass(frozen=True)
 class GaussianJoint:
-    """Sigma and Omega with their determinants and the degeneracy flag."""
+    """Sigma and Omega with Omega's spectrum, the determinants and the
+    degeneracy flag.  ``omega_eigs`` is ascending and column j of
+    ``omega_vecs`` is the eigenvector of ``omega_eigs[j]``."""
 
     sigma: np.ndarray
     omega: np.ndarray
+    omega_eigs: np.ndarray
+    omega_vecs: np.ndarray
     a_det: float
     omega_det: float
     degenerate: bool
 
 
-def blocks_at_many(model: SphereModel, thetas) -> tuple[np.ndarray, ...]:
-    """(u, d_long, h_long, h_trans) arrays over separation angles.
+def blocks_at_many(model: SphereModel, thetas) -> list[CovarianceBlocks]:
+    """Covariance scalars at each of a sequence of separation angles in (0, pi).
 
     With t = cos theta and (q, q', q'') from the polynomial evaluator:
     u = q, d_long = q' sin theta, h_long = -(1-t^2) q'' + t q',
@@ -90,25 +94,18 @@ def blocks_at_many(model: SphereModel, thetas) -> tuple[np.ndarray, ...]:
     t = np.cos(thetas)
     s = np.sin(thetas)
     q, dq, d2q = gegenbauer_eval_arrays(model, t)
-    u = q
-    d_long = dq * s
     h_long = -(1.0 - t * t) * d2q + t * dq
-    h_trans = dq
-    return u, d_long, h_long, h_trans
+    scale = model.E / model.m
+    return [
+        CovarianceBlocks(model=model, theta=float(th), u=float(uu), d_long=float(dd),
+                         h_long=float(hl), h_trans=float(ht), scale=scale)
+        for th, uu, dd, hl, ht in zip(thetas, q, dq * s, h_long, dq)
+    ]
 
 
 def blocks_at(model: SphereModel, theta: float) -> CovarianceBlocks:
     """Covariance scalars at one separation angle in (0, pi)."""
-    u, d_long, h_long, h_trans = blocks_at_many(model, [float(theta)])
-    return CovarianceBlocks(
-        model=model,
-        theta=float(theta),
-        u=float(u[0]),
-        d_long=float(d_long[0]),
-        h_long=float(h_long[0]),
-        h_trans=float(h_trans[0]),
-        scale=model.E / model.m,
-    )
+    return blocks_at_many(model, [float(theta)])[0]
 
 
 def _h_matrix(blocks: CovarianceBlocks) -> np.ndarray:
@@ -171,10 +168,11 @@ def omega_matrix(blocks: CovarianceBlocks) -> np.ndarray:
 
 
 def gaussian_joint(blocks: CovarianceBlocks) -> GaussianJoint:
-    """Assemble Sigma and Omega with eigendecomposition determinants."""
+    """Assemble Sigma and Omega and eigendecompose Omega, once; the
+    determinant and the degeneracy flag come from that spectrum."""
     sigma = sigma_matrix(blocks)
     omega = omega_matrix(blocks)
-    omega_eigs = np.linalg.eigvalsh(omega)
+    omega_eigs, omega_vecs = np.linalg.eigh(omega)
     scale = blocks.scale
     if omega_eigs[0] < -PSD_SLACK_RTOL * scale:
         raise DegenerateCovarianceError(
@@ -186,6 +184,8 @@ def gaussian_joint(blocks: CovarianceBlocks) -> GaussianJoint:
     return GaussianJoint(
         sigma=sigma,
         omega=omega,
+        omega_eigs=omega_eigs,
+        omega_vecs=omega_vecs,
         a_det=1.0 - blocks.u**2,
         omega_det=float(np.prod(omega_eigs)),
         degenerate=degenerate,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import mu_weight_constant
+
 __all__ = [
     "TangentFrame",
     "IcoMesh",
@@ -74,8 +76,7 @@ def mu_density(m: int, t) -> float | np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0):
         raise ValueError("t must lie in [-1, 1]")
-    const = math.exp(math.log(2.0) + (m / 2.0) * math.log(math.pi) - math.lgamma(m / 2.0))
-    val = const * (1.0 - t * t) ** ((m - 2) / 2.0)
+    val = mu_weight_constant(m) * (1.0 - t * t) ** ((m - 2) / 2.0)
     return float(val) if val.ndim == 0 else val
 
 

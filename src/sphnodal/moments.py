@@ -32,7 +32,6 @@ __all__ = [
     "leray_expectation",
     "volume_expectation",
     "volume_constant",
-    "gaussian_norm_moment",
     "kernel_K",
     "leray_second_moment",
     "leray_variance",
@@ -102,12 +101,6 @@ def leray_expectation(m: int) -> float:
     return sphere_volume(m) / math.sqrt(2.0 * math.pi)
 
 
-def gaussian_norm_moment(m: int) -> float:
-    """E |z| for a standard Gaussian vector in R^m:
-    sqrt(2) Gamma((m+1)/2) / Gamma(m/2)."""
-    return math.sqrt(2.0) * math.exp(math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0))
-
-
 def volume_constant(m: int) -> float:
     """c_m = 2 pi^{m/2} / (sqrt(m) Gamma(m/2)), the prefactor of sqrt(E)
     in the expected nodal volume."""
@@ -123,20 +116,6 @@ def volume_expectation(model: SphereModel) -> float:
 # Kernel Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _omega_factor(blocks: covariance.CovarianceBlocks) -> np.ndarray:
-    joint = covariance.gaussian_joint(blocks)
-    if joint.degenerate:
-        eigs = np.linalg.eigvalsh(joint.omega)
-        raise covariance.DegenerateCovarianceError(
-            f"kernel undefined: reduced covariance degenerate at theta={blocks.theta:g} "
-            f"(min eigenvalue {eigs[0]:g})",
-            eigenvalue=float(eigs[0]),
-            theta=blocks.theta,
-        )
-    eigs, vecs = np.linalg.eigh(joint.omega)
-    return vecs * np.sqrt(np.maximum(eigs, 0.0))
-
-
 def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the kernel at one separation, with its
     standard error.
@@ -145,11 +124,22 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int) -> t
     pairs (z, -z); statistics are taken over pair means so the reported
     standard error stays honest.  Deterministic for a fixed seed.
     """
+    if mc_paths < 4:
+        raise ValueError(f"kernel Monte Carlo needs at least 4 paths (two antithetic "
+                         f"pairs) for a standard error, got {mc_paths}")
     if abs(blocks.u) >= 1.0:
         raise ValueError("kernel requires |u| < 1")
     m = blocks.model.m
-    factor = _omega_factor(blocks)
-    pairs = max(1, mc_paths // 2)
+    joint = covariance.gaussian_joint(blocks)
+    if joint.degenerate:
+        raise covariance.DegenerateCovarianceError(
+            f"kernel undefined: reduced covariance degenerate at theta={blocks.theta:g} "
+            f"(min eigenvalue {joint.omega_eigs[0]:g})",
+            eigenvalue=float(joint.omega_eigs[0]),
+            theta=blocks.theta,
+        )
+    factor = joint.omega_vecs * np.sqrt(np.maximum(joint.omega_eigs, 0.0))
+    pairs = mc_paths // 2
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     z = rng.standard_normal((pairs, 2 * m))
     w = z @ factor.T
@@ -158,7 +148,7 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int) -> t
     # pair mean is the value itself
     denom = 2.0 * math.pi * math.sqrt(1.0 - blocks.u**2)
     value = float(np.mean(prod)) / denom
-    std_error = float(np.std(prod, ddof=1) / math.sqrt(pairs)) / denom if pairs > 1 else float("inf")
+    std_error = float(np.std(prod, ddof=1) / math.sqrt(pairs)) / denom
     return value, std_error
 
 
@@ -174,6 +164,15 @@ def _split_theta(model: SphereModel, eps0: float) -> float:
 
 def _mu_theta_weight(m: int, thetas: np.ndarray) -> np.ndarray:
     return specfun.mu_weight_constant(m) * np.sin(thetas) ** (m - 1)
+
+
+def _nonsingular_nodes(model: SphereModel, quad: QuadratureSpec):
+    """Split angle theta_c, and the panel nodes of [theta_c, pi - theta_c]
+    with their dmu weights."""
+    theta_c = _split_theta(model, quad.singular_split_eps0)
+    panels = max(8, quad.panels_per_oscillation * model.n)
+    nodes, weights = specfun._panel_nodes(theta_c, math.pi - theta_c, panels)
+    return theta_c, nodes, weights * _mu_theta_weight(model.m, nodes)
 
 
 def _leray_integrand(model: SphereModel):
@@ -267,45 +266,31 @@ def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
     ``nonsingular_contribution`` / ``singular_contribution`` so the budget
     stays visible.  If the accumulated Monte Carlo error exceeds the
     quadrature tolerance the path count is doubled a few times before
-    giving up.
+    giving up.  A degenerate node does not stop the first pass, so the error
+    it raises lists every offending angle.
     """
     quad = quad or QuadratureSpec(relative_tolerance=1e-3)
-    m, n = model.m, model.n
-    vol = sphere_volume(m)
-    theta_c = _split_theta(model, quad.singular_split_eps0)
-    panels = max(8, quad.panels_per_oscillation * n)
-    nodes, weights = specfun._panel_nodes(theta_c, math.pi - theta_c, panels)
-    weights = weights * _mu_theta_weight(m, nodes)
-
-    u, d_long, h_long, h_trans = covariance.blocks_at_many(model, nodes)
-    scale = model.E / model.m
-    all_blocks = [
-        covariance.CovarianceBlocks(model=model, theta=float(th), u=float(uu),
-                                    d_long=float(dd), h_long=float(hl),
-                                    h_trans=float(ht), scale=scale)
-        for th, uu, dd, hl, ht in zip(nodes, u, d_long, h_long, h_trans)
-    ]
-
-    # fail fast on degeneracies, reporting every offending angle
-    bad = []
-    for b in all_blocks:
-        joint = covariance.gaussian_joint(b)
-        if joint.degenerate:
-            bad.append(b.theta)
-    if bad:
-        raise covariance.DegenerateCovarianceError(
-            f"degenerate reduced covariance at {len(bad)} quadrature nodes "
-            f"(first few thetas: {[round(t, 4) for t in bad[:5]]}); "
-            "increase the degree",
-            eigenvalue=float("nan"),
-        )
+    vol = sphere_volume(model.m)
+    theta_c, nodes, weights = _nonsingular_nodes(model, quad)
+    all_blocks = covariance.blocks_at_many(model, nodes)
 
     paths = mc_paths
     for _ in range(4):
         vals = np.empty(len(all_blocks))
         errs = np.empty(len(all_blocks))
+        bad = []
         for i, b in enumerate(all_blocks):
-            vals[i], errs[i] = kernel_K(b, paths, seed=_node_seed(seed, i))
+            try:
+                vals[i], errs[i] = kernel_K(b, paths, seed=_node_seed(seed, i))
+            except covariance.DegenerateCovarianceError:
+                bad.append(b.theta)
+        if bad:
+            raise covariance.DegenerateCovarianceError(
+                f"degenerate reduced covariance at {len(bad)} quadrature nodes "
+                f"(first few thetas: {[round(t, 4) for t in bad[:5]]}); "
+                "increase the degree",
+                eigenvalue=float("nan"),
+            )
         nonsing = vol * float(np.dot(weights, vals))
         mc_se = vol * float(np.sqrt(np.sum((weights * errs) ** 2)))
         if mc_se <= quad.relative_tolerance * abs(nonsing):
@@ -351,32 +336,6 @@ def _node_seed(seed: int, index: int) -> int:
 def sigma_scaling_report(model: SphereModel, quad: QuadratureSpec | None = None) -> tuple[float, float]:
     """Integrals of the spectral norm of S and of its square over the
     nonsingular interval, against dmu."""
-    quad = quad or QuadratureSpec()
-    m, n = model.m, model.n
-    theta_c = _split_theta(model, quad.singular_split_eps0)
-    panels = max(8, quad.panels_per_oscillation * n)
-    nodes, weights = specfun._panel_nodes(theta_c, math.pi - theta_c, panels)
-    weights = weights * _mu_theta_weight(m, nodes)
-
-    u, d_long, h_long, h_trans = covariance.blocks_at_many(model, nodes)
-    scale = model.E / model.m
-    rho = d_long**2 / (1.0 - u**2)
-    k = nodes.shape[0]
-    s_all = np.zeros((k, 2 * m, 2 * m))
-    for j in range(m):
-        s_all[:, j, j] = rho / scale if j == 0 else 0.0
-        s_all[:, m + j, m + j] = s_all[:, j, j]
-    h_diag = np.zeros((k, m))
-    h_diag[:, 0] = h_long
-    h_diag[:, 1:] = h_trans[:, None]
-    for j in range(m):
-        off = -h_diag[:, j] / scale
-        if j == 0:
-            off = off + u * rho / scale
-        s_all[:, j, m + j] = off
-        s_all[:, m + j, j] = off
-    eigs = np.linalg.eigvalsh(s_all)
-    sigma = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
-    int_sigma = float(np.dot(weights, sigma))
-    int_sigma_sq = float(np.dot(weights, sigma**2))
-    return int_sigma, int_sigma_sq
+    _, nodes, weights = _nonsingular_nodes(model, quad or QuadratureSpec())
+    sigma = np.array([covariance.s_matrix(b)[1] for b in covariance.blocks_at_many(model, nodes)])
+    return float(np.dot(weights, sigma)), float(np.dot(weights, sigma**2))

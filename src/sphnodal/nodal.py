@@ -290,6 +290,8 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     """
     if model.m != 2:
         raise ValueError("mesh experiments only run on S^2")
+    if samples < 2:
+        raise ValueError(f"a sample variance needs at least 2 samples, got {samples}")
     if mesh is None:
         mesh = icosphere(mesh_level)
     _warn_if_under_resolved(mesh, model.n)

@@ -24,9 +24,7 @@ import numpy as np
 
 __all__ = [
     "SphereModel",
-    "PolyEval",
     "gegenbauer_q",
-    "gegenbauer_eval",
     "gegenbauer_eval_arrays",
     "bessel_j",
     "c_tilde",
@@ -76,16 +74,6 @@ class SphereModel:
         object.__setattr__(self, "E", n * (n + m - 1))
         object.__setattr__(self, "N", num // den)
         object.__setattr__(self, "alpha", (m - 2) / 2.0)
-
-
-@dataclass(frozen=True)
-class PolyEval:
-    """Value and first two derivatives of Q_n at a point t in [-1, 1]."""
-
-    q: float
-    dq: float
-    d2q: float
-    t: float
 
 
 def _check_t(t):
@@ -167,12 +155,6 @@ def gegenbauer_eval_arrays(model: SphereModel, t):
     if scalar:
         return float(q[0]), float(dq[0]), float(d2q[0])
     return q, dq, d2q
-
-
-def gegenbauer_eval(model: SphereModel, t: float) -> PolyEval:
-    """Pointwise Q_n, Q_n', Q_n'' packaged with the argument."""
-    q, dq, d2q = gegenbauer_eval_arrays(model, float(t))
-    return PolyEval(q=float(q), dq=float(dq), d2q=float(d2q), t=float(t))
 
 
 # ---------------------------------------------------------------------------

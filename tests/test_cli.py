@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
@@ -160,3 +162,22 @@ def test_mc_verify_reports_under_resolution(level, expected):
                            "--samples", "4", "--seed", "1"])
     assert code == 0
     assert sum("under-resolved" in str(w.message) for w in caught) == expected
+
+
+@pytest.mark.parametrize("args", [
+    ["mc-verify", "--n", "5", "--mesh-level", "3", "--samples", "1"],
+    ["mc-verify", "--n", "5", "--mesh-level", "3", "--samples", "0"],
+    ["kernel-profile", "--n", "5", "--theta-points", "3", "--mc-paths", "1"],
+    ["volume-variance", "--n", "5", "--mc-paths", "0"],
+    ["covariance-check", "--n", "5", "--theta-points", "0", "--format", "json"],
+])
+def test_sizes_that_leave_no_statistic_are_rejected(args):
+    # too few samples, paths or angles for a variance, a standard error or a
+    # maximum: the command fails instead of printing nan, inf or Infinity
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "sphnodal.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())

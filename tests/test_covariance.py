@@ -66,6 +66,28 @@ def test_blocks_theta_reflection_parity():
         assert r.h_long == pytest.approx(sign * b.h_long, abs=1e-11)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_blocks_at_many_matches_blocks_at(m):
+    model = sf.SphereModel(m, 11)
+    thetas = np.linspace(0.03, math.pi - 0.03, 301)
+    many = cv.blocks_at_many(model, thetas)
+    assert len(many) == thetas.size
+    for theta, blocks in zip(thetas, many):
+        assert blocks == cv.blocks_at(model, float(theta))
+
+
+def test_gaussian_joint_spectrum():
+    for m, n in [(2, 7), (3, 10)]:
+        model = sf.SphereModel(m, n)
+        for theta in np.linspace(0.1, math.pi - 0.1, 25):
+            joint = cv.gaussian_joint(cv.blocks_at(model, float(theta)))
+            eigs, vecs = joint.omega_eigs, joint.omega_vecs
+            assert np.all(np.diff(eigs) >= 0.0)
+            rebuilt = vecs @ np.diag(eigs) @ vecs.T
+            assert np.max(np.abs(rebuilt - joint.omega)) <= 1e-12 * model.E / m
+            assert joint.omega_det == float(np.prod(eigs))
+
+
 def test_sigma_layout():
     blocks = cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)
     sigma = cv.sigma_matrix(blocks)

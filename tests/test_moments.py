@@ -199,6 +199,27 @@ def test_volume_second_moment_rejects_degenerate_degree():
         mo.volume_second_moment(sf.SphereModel(2, 2), mo.QuadratureSpec(relative_tolerance=1e-3),
                                 mc_paths=2000, seed=0)
     assert "theta" in str(err.value)
+    assert "at 128 quadrature nodes" in str(err.value)  # every node, not the first
+
+
+def test_volume_second_moment_one_joint_per_node(monkeypatch):
+    calls = {"joint": 0, "kernel": 0}
+    joint, kernel = cv.gaussian_joint, mo.kernel_K
+
+    def counted_joint(blocks):
+        calls["joint"] += 1
+        return joint(blocks)
+
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "gaussian_joint", counted_joint)
+    monkeypatch.setattr(mo, "kernel_K", counted_kernel)
+    mo.volume_second_moment(sf.SphereModel(2, 10), mo.QuadratureSpec(relative_tolerance=1e-3),
+                            mc_paths=20000, seed=3)
+    # 80 panels of 8 nodes, one Monte Carlo pass
+    assert calls == {"joint": 640, "kernel": 640}
 
 
 def test_volume_report_dict_roundtrip(volume_reports):
@@ -223,6 +244,38 @@ def test_sigma_scaling_bounded():
             base_lin, base_sq = lin, sq
         assert sq <= 1.5 * base_sq
         assert lin <= 1.5 * base_lin
+
+
+def _sigma_scaling_oracle(model):
+    # S = I - (m/E) Omega written out entry by entry from the aligned-frame
+    # scalars, independent of covariance.omega_matrix and s_matrix
+    m = model.m
+    quad = mo.QuadratureSpec()
+    theta_c = mo._split_theta(model, quad.singular_split_eps0)
+    nodes, weights = sf._panel_nodes(theta_c, math.pi - theta_c,
+                                     quad.panels_per_oscillation * model.n)
+    weights = weights * sf.mu_weight_constant(m) * np.sin(nodes) ** (m - 1)
+    q, dq, d2q = sf.gegenbauer_eval_arrays(model, np.cos(nodes))
+    t = np.cos(nodes)
+    u, d_long, h_long, h_trans = q, dq * np.sin(nodes), -(1 - t * t) * d2q + t * dq, dq
+    scale = model.E / m
+    rho = d_long**2 / (1.0 - u**2)
+    s_all = np.zeros((nodes.size, 2 * m, 2 * m))
+    s_all[:, 0, 0] = s_all[:, m, m] = rho / scale
+    for j in range(m):
+        off = -(h_long if j == 0 else h_trans) / scale + (u * rho / scale if j == 0 else 0.0)
+        s_all[:, j, m + j] = s_all[:, m + j, j] = off
+    eigs = np.linalg.eigvalsh(s_all)
+    sigma = np.maximum(np.abs(eigs[:, 0]), np.abs(eigs[:, -1]))
+    return float(np.dot(weights, sigma)), float(np.dot(weights, sigma**2))
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_sigma_scaling_matches_hand_built_s(n):
+    model = sf.SphereModel(2, n)
+    got = mo.sigma_scaling_report(model)
+    want = _sigma_scaling_oracle(model)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_sigma_scaling_cauchy_schwarz():

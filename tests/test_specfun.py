@@ -86,15 +86,15 @@ def test_q_maximum_band_is_near_endpoints():
 
 
 def test_endpoint_derivatives():
-    pe = sf.gegenbauer_eval(sf.SphereModel(2, 5), 1.0)
-    assert pe.dq == pytest.approx(30 / 2, abs=1e-12)
-    pe = sf.gegenbauer_eval(sf.SphereModel(2, 5), -1.0)
-    assert pe.dq == pytest.approx(15.0, abs=1e-12)  # (-1)^{n+1} E/m at n = 5
-    pe = sf.gegenbauer_eval(sf.SphereModel(2, 2), 0.0)
-    assert (pe.q, pe.dq, pe.d2q) == pytest.approx((-0.5, 0.0, 3.0), abs=1e-12)
+    _, dq, _ = sf.gegenbauer_eval_arrays(sf.SphereModel(2, 5), 1.0)
+    assert dq == pytest.approx(30 / 2, abs=1e-12)
+    _, dq, _ = sf.gegenbauer_eval_arrays(sf.SphereModel(2, 5), -1.0)
+    assert dq == pytest.approx(15.0, abs=1e-12)  # (-1)^{n+1} E/m at n = 5
+    q, dq, d2q = sf.gegenbauer_eval_arrays(sf.SphereModel(2, 2), 0.0)
+    assert (q, dq, d2q) == pytest.approx((-0.5, 0.0, 3.0), abs=1e-12)
     # second derivative at 1 from the differentiated ODE
-    pe = sf.gegenbauer_eval(sf.SphereModel(2, 2), 1.0)
-    assert pe.d2q == pytest.approx((6 - 2) * 6 / (2 * 4), abs=1e-12)
+    _, _, d2q = sf.gegenbauer_eval_arrays(sf.SphereModel(2, 2), 1.0)
+    assert d2q == pytest.approx((6 - 2) * 6 / (2 * 4), abs=1e-12)
 
 
 def test_derivative_matches_finite_difference():
