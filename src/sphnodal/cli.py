@@ -121,6 +121,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise SystemExit("error: eps0 must lie in (0, 1)")
     if cfg.theta_points < 1:
         raise SystemExit("error: theta_points must be >= 1")
+    if cfg.workers is not None and cfg.workers < 1:
+        raise SystemExit("error: workers must be >= 1")
     return cfg
 
 
@@ -206,7 +208,7 @@ def _cmd_covariance_check(cfg: RunConfig):
         min_eig = float("inf")
         for blocks in all_blocks[:len(scan)]:
             joint = covariance.gaussian_joint(blocks)
-            det_sigma = float(np.prod(np.linalg.eigvalsh(joint.sigma)))
+            det_sigma = float(np.prod(np.linalg.eigvalsh(covariance.sigma_matrix(blocks))))
             det_err = max(det_err, abs(det_sigma - joint.a_det * joint.omega_det)
                           / max(1.0, abs(det_sigma)))
             degenerate += int(joint.degenerate)

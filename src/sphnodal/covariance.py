@@ -68,11 +68,10 @@ class CovarianceBlocks:
 
 @dataclass(frozen=True)
 class GaussianJoint:
-    """Sigma and Omega with Omega's spectrum, the determinants and the
-    degeneracy flag.  ``omega_eigs`` is ascending and column j of
-    ``omega_vecs`` is the eigenvector of ``omega_eigs[j]``."""
+    """Omega with its spectrum, the determinants and the degeneracy flag.
+    ``omega_eigs`` is ascending and column j of ``omega_vecs`` is the
+    eigenvector of ``omega_eigs[j]``."""
 
-    sigma: np.ndarray
     omega: np.ndarray
     omega_eigs: np.ndarray
     omega_vecs: np.ndarray
@@ -168,9 +167,8 @@ def omega_matrix(blocks: CovarianceBlocks) -> np.ndarray:
 
 
 def gaussian_joint(blocks: CovarianceBlocks) -> GaussianJoint:
-    """Assemble Sigma and Omega and eigendecompose Omega, once; the
-    determinant and the degeneracy flag come from that spectrum."""
-    sigma = sigma_matrix(blocks)
+    """Assemble Omega and eigendecompose it, once; the determinant and the
+    degeneracy flag come from that spectrum."""
     omega = omega_matrix(blocks)
     omega_eigs, omega_vecs = np.linalg.eigh(omega)
     scale = blocks.scale
@@ -182,7 +180,6 @@ def gaussian_joint(blocks: CovarianceBlocks) -> GaussianJoint:
         )
     degenerate = bool(omega_eigs[0] < DEGENERACY_RTOL * scale)
     return GaussianJoint(
-        sigma=sigma,
         omega=omega,
         omega_eigs=omega_eigs,
         omega_vecs=omega_vecs,

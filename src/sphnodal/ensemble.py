@@ -14,6 +14,7 @@ derived per sample index without coordination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +38,6 @@ __all__ = [
     "rng_for",
 ]
 
-POLE_SIN_CUTOFF = 1e-8
-SOUTH_CAP = 1e-6
 GAUSSIAN_FIELD_MAX_POINTS = 4000
 _BLOCK = 16384  # points per pass of the Legendre recurrence
 
@@ -74,28 +73,21 @@ class HarmonicSample:
     scale: float
 
 
-def _angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos theta, sin theta and phi of (npts, 3) unit points."""
-    cos_t = np.clip(points[:, 2], -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    return cos_t, sin_t, np.arctan2(points[:, 1], points[:, 0])
-
-
 def _legendre_orders(n: int, cos_t: np.ndarray, sin_t: np.ndarray):
-    """Yield (k, P-bar_{n,k}, P-bar_{n-1,k}) of cos theta for k = 0..n.
+    """Yield (k, P-bar_{n,k}) of cos theta for k = 0..n.
 
     Fully normalized so that the real harmonics built from them are
-    orthonormal on the sphere (the 1/sqrt(4 pi) is folded into P-bar_00);
-    P-bar_{n-1,n} is None.  For each order the sectoral seed is climbed
-    first, then degrees ascend to n with two rolling arrays.  Sectorals
-    underflow to zero harmlessly near the poles.
+    orthonormal on the sphere (the 1/sqrt(4 pi) is folded into P-bar_00).
+    For each order the sectoral seed is climbed first, then degrees ascend
+    to n with two rolling arrays.  Sectorals underflow to zero harmlessly
+    near the poles.
     """
     p_kk = np.full(cos_t.shape[0], 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(0, n + 1):
         if k > 0:
             p_kk = p_kk * sin_t * math.sqrt((2 * k + 1) / (2.0 * k))
         if k == n:
-            yield k, p_kk, None
+            yield k, p_kk
             return
         p_prev = p_kk
         p_curr = math.sqrt(2 * k + 3.0) * cos_t * p_kk
@@ -103,31 +95,44 @@ def _legendre_orders(n: int, cos_t: np.ndarray, sin_t: np.ndarray):
             a = math.sqrt((4.0 * deg * deg - 1.0) / (deg * deg - k * k))
             b = math.sqrt(((deg - 1.0) ** 2 - k * k) / (4.0 * (deg - 1.0) ** 2 - 1.0))
             p_prev, p_curr = p_curr, a * (cos_t * p_curr - b * p_prev)
-        yield k, p_curr, p_prev
+        yield k, p_curr
+
+
+def _basis_block(n: int, points: np.ndarray) -> np.ndarray:
+    """Order-major values, shape (2n+1, npts), of the degree-n basis at
+    (npts, 3) unit points.
+
+    cos(k phi) and sin(k phi) are advanced by angle addition; points at a
+    pole take their azimuth from phi = 0, where only the k = 0 harmonic
+    survives anyway.
+    """
+    cos_t = np.clip(points[:, 2], -1.0, 1.0)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    ck, sk = np.ones_like(phi), np.zeros_like(phi)  # cos(k phi), sin(k phi)
+    cols = np.empty((2 * n + 1, cos_t.shape[0]))
+    for k, pn in _legendre_orders(n, cos_t, sin_t):
+        if k == 0:
+            cols[n] = pn
+        else:
+            ck, sk = ck * cos_p - sk * sin_p, sk * cos_p + ck * sin_p
+            pn = math.sqrt(2.0) * pn
+            cols[n + k] = pn * ck
+            cols[n - k] = pn * sk
+    return cols
 
 
 def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     """Values at an (npts, 3) array of unit points, shape (npts, 2n+1).
 
-    Ordered k = -n..n; points at a pole take their azimuth from phi = 0,
-    where only the k = 0 harmonic survives anyway.  Points are taken in
-    blocks of _BLOCK so the recurrence's arrays stay in cache.
+    Ordered k = -n..n.  Points are taken in blocks of _BLOCK so the
+    recurrence's arrays stay in cache.
     """
     points = np.asarray(points, float)
-    n = basis.n
     vals = np.empty((points.shape[0], basis.size))
-    sqrt2 = math.sqrt(2.0)
     for start in range(0, points.shape[0], _BLOCK):
-        cos_t, sin_t, phi = _angles(points[start:start + _BLOCK])
-        cols = np.empty((basis.size, cos_t.shape[0]))  # order-major: contiguous writes
-        for k, pn, _ in _legendre_orders(n, cos_t, sin_t):
-            if k == 0:
-                cols[n] = pn
-            else:
-                pn = sqrt2 * pn
-                cols[n + k] = pn * np.cos(k * phi)
-                cols[n - k] = pn * np.sin(k * phi)
-        vals[start:start + _BLOCK] = cols.T
+        vals[start:start + _BLOCK] = _basis_block(basis.n, points[start:start + _BLOCK]).T
     return vals
 
 
@@ -151,81 +156,66 @@ def eval_many(sample: HarmonicSample, points: np.ndarray) -> np.ndarray:
     return (eval_basis_many(sample.basis, points) @ sample.a) * sample.scale
 
 
-def _pole_gradient(sample: HarmonicSample) -> np.ndarray:
-    """Ambient gradient at the north pole.
+@functools.lru_cache(maxsize=None)
+def _ladder(n: int) -> np.ndarray:
+    """Ladder matrix G, shape (2n+1, 2n-1, 3), for degree n >= 1: the
+    partial d/dx_c of the solid harmonic r^n Y_{n,j}(x/r) is the solid
+    harmonic sum_p G[j, p, c] r^(n-1) Y_{n-1,p}(x/r).
 
-    Only the k = +-1 harmonics have nonzero gradient there; their limit
-    slope along the first two coordinate axes is sqrt(2) c_n with
-    c_n = sqrt((2n+1)/(4 pi)) sqrt(n(n+1)) / 2.
+    With Z^q = r^n P-bar_{n,|q|} e^{iq phi} (no Condon-Shortley phase) and
+    s = sqrt((2n+1)/(2n-1)): d_z Z^q = s sqrt(n^2-q^2) Z^q_{n-1},
+    (d_x + i d_y) Z^q = -+ s sqrt((n-q)(n-q-1)) Z^{q+1}_{n-1} (- for q >= 0),
+    (d_x - i d_y) Z^q = +- s sqrt((n+q)(n+q-1)) Z^{q-1}_{n-1} (+ for q > 0);
+    a unitary change of basis carries them to the real harmonics.
     """
-    n = sample.basis.n
-    g = np.zeros(3)
-    if n == 0:
-        return g
-    c_n = math.sqrt((2 * n + 1) / (4.0 * math.pi)) * math.sqrt(n * (n + 1.0)) / 2.0
-    g[0] = sample.scale * math.sqrt(2.0) * c_n * sample.a[n + 1]
-    g[1] = sample.scale * math.sqrt(2.0) * c_n * sample.a[n - 1]
+    s = math.sqrt((2 * n + 1) / (2 * n - 1.0))
+    up, down, dz = (np.zeros((2 * n + 1, 2 * n - 1), complex) for _ in range(3))
+    for q in range(-n, n + 1):
+        if abs(q) < n:
+            dz[n + q, n - 1 + q] = s * math.sqrt(n * n - q * q)
+        if abs(q + 1) < n:
+            up[n + q, n + q] = (-s if q >= 0 else s) * math.sqrt((n - q) * (n - q - 1))
+        if abs(q - 1) < n:
+            down[n + q, n + q - 2] = (s if q > 0 else -s) * math.sqrt((n + q) * (n + q - 1))
+
+    def to_real(deg: int) -> np.ndarray:  # rows: real harmonics in terms of Z^q
+        u = np.zeros((2 * deg + 1, 2 * deg + 1), complex)
+        u[deg, deg] = 1.0
+        for k in range(1, deg + 1):
+            u[deg + k, [deg + k, deg - k]] = math.sqrt(0.5), math.sqrt(0.5)
+            u[deg - k, [deg + k, deg - k]] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+        return u
+
+    u_n, u_down = to_real(n), to_real(n - 1).conj().T
+    g = np.stack([(u_n @ d @ u_down).real
+                  for d in ((up + down) / 2, (up - down) / 2j, dz)], axis=2)
+    g.flags.writeable = False
     return g
 
 
 def eval_gradient_ambient_many(sample: HarmonicSample, points: np.ndarray) -> np.ndarray:
     """Tangent gradients in ambient coordinates at many points.
 
-    For each order the theta/phi derivative contributions are contracted
-    into running accumulators right away, with cos(k phi), sin(k phi)
-    advanced by the angle-addition recurrence.  This is the hot path of
-    nodal extraction (one call per sample with every segment midpoint), so
-    no per-order tables or trig calls are materialized, and points are taken
-    in blocks of _BLOCK.  Inside a tiny polar cap the exact north-pole limit
-    takes over (the south cap is rejected).
+    The gradient g of the solid extension r^n f(x/r) is the degree-(n-1)
+    basis times the ladder matrix, and g - (g.x) x is its tangent part; no
+    angle enters, so both poles are ordinary points.  This is the hot path
+    of nodal extraction (every segment midpoint of every sample).
     """
     points = np.asarray(points, float)
     n = sample.basis.n
-    a = sample.a
     grads = np.zeros_like(points)
-    sqrt2 = math.sqrt(2.0)
-    dth_norm = math.sqrt((2 * n + 1.0) / (2 * n - 1.0)) if n >= 1 else 0.0
+    if n == 0:
+        return grads
+    coef = sample.scale * np.tensordot(sample.a, _ladder(n), axes=(0, 0)).T  # (3, 2n-1)
     for start in range(0, points.shape[0], _BLOCK):
-        out = grads[start:start + _BLOCK]
-        cos_t, sin_t, phi = _angles(points[start:start + _BLOCK])
-        polar = sin_t < POLE_SIN_CUTOFF
-        if n > 0:
-            npts = cos_t.shape[0]
-            safe_sin = np.where(polar, 1.0, sin_t)
-            df_dth = np.zeros(npts)
-            df_dphi_over_sin = np.zeros(npts)
-            cos_p = np.cos(phi)
-            sin_p = np.sin(phi)
-            ck = np.ones(npts)   # cos(k phi)
-            sk = np.zeros(npts)  # sin(k phi)
-            for k, pn, pn_prev in _legendre_orders(n, cos_t, sin_t):
-                if k > 0:
-                    ck, sk = ck * cos_p - sk * sin_p, sk * cos_p + ck * sin_p
-                dpk = n * cos_t * pn
-                if pn_prev is not None:
-                    dpk = dpk - dth_norm * math.sqrt(float(n * n - k * k)) * pn_prev
-                dpk = dpk / safe_sin
-                if k == 0:
-                    df_dth += a[n] * dpk
-                else:
-                    df_dth += sqrt2 * dpk * (a[n + k] * ck + a[n - k] * sk)
-                    df_dphi_over_sin += (sqrt2 * k) * (pn / safe_sin) * (a[n - k] * ck - a[n + k] * sk)
-            e_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
-            e_phi = np.stack([-sin_p, cos_p, np.zeros(npts)], axis=1)
-            out[:] = sample.scale * (df_dth[:, None] * e_theta
-                                     + df_dphi_over_sin[:, None] * e_phi)
-        if np.any(polar):
-            if np.any(cos_t[polar] <= 0):
-                raise ValueError("gradient is not provided inside the south-pole cap")
-            out[polar] = _pole_gradient(sample)
+        x = points[start:start + _BLOCK]
+        g = (coef @ _basis_block(n - 1, x)).T
+        grads[start:start + _BLOCK] = g - np.sum(g * x, axis=1)[:, None] * x
     return grads
 
 
 def eval_gradient_ambient(sample: HarmonicSample, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, float)
-    if geometry.geodesic_distance(x, -geometry.north_pole(2)) <= SOUTH_CAP:
-        raise ValueError("gradient is not provided inside the south-pole cap")
-    return eval_gradient_ambient_many(sample, x[None, :])[0]
+    return eval_gradient_ambient_many(sample, np.asarray(x, float)[None, :])[0]
 
 
 def eval_gradient(sample: HarmonicSample, x: np.ndarray,

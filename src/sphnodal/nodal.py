@@ -265,13 +265,16 @@ def leray_estimate_sublevel(sample: ensemble.HarmonicSample, mesh: IcoMesh,
 
 
 def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("SPHNODAL_WORKERS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """``workers``, else SPHNODAL_WORKERS, else 1; a count below 1 raises."""
+    if workers is None:
+        env = os.environ.get("SPHNODAL_WORKERS", "")
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"SPHNODAL_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    return workers
 
 
 def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,

@@ -317,7 +317,8 @@ def _integrate_theta(f, a: float, b: float, panels: int, rtol: float = 1e-10,
     """Composite 8-node Gauss-Legendre with panel doubling to tolerance.
 
     ``f`` maps an array of theta values to integrand values (the measure
-    weight included by the caller).
+    weight included by the caller).  Raises RuntimeError if ``max_doublings``
+    doublings do not bring two successive values within ``rtol``.
     """
     nodes, weights = _panel_nodes(a, b, panels)
     val = float(np.dot(weights, f(nodes)))
@@ -325,10 +326,12 @@ def _integrate_theta(f, a: float, b: float, panels: int, rtol: float = 1e-10,
         panels *= 2
         nodes, weights = _panel_nodes(a, b, panels)
         new = float(np.dot(weights, f(nodes)))
-        if abs(new - val) <= rtol * max(1.0, abs(new)):
+        change = abs(new - val)
+        if change <= rtol * max(1.0, abs(new)):
             return new
         val = new
-    return val
+    raise RuntimeError(f"quadrature on [{a:g}, {b:g}] did not converge with {panels} panels: "
+                       f"last change {change:.3g}, rtol {rtol:g}")
 
 
 def moment_integral(model: SphereModel, kind: str) -> float:

@@ -211,8 +211,9 @@ def test_criterion_7_covariance_machinery():
         for n in (3, 10, 25):
             model = sf.SphereModel(m, n)
             for theta in np.linspace(0.05, math.pi - 0.05, 50):
-                joint = cv.gaussian_joint(cv.blocks_at(model, float(theta)))
-                det_sigma = float(np.prod(np.linalg.eigvalsh(joint.sigma)))
+                blocks = cv.blocks_at(model, float(theta))
+                joint = cv.gaussian_joint(blocks)
+                det_sigma = float(np.prod(np.linalg.eigvalsh(cv.sigma_matrix(blocks))))
                 det_worst = max(det_worst, abs(det_sigma - joint.a_det * joint.omega_det)
                                 / max(1.0, abs(det_sigma)))
     fd_worst = 0.0

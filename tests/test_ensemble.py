@@ -144,11 +144,19 @@ def test_gradient_at_north_pole():
     assert grad[2] == 0.0
 
 
-def test_gradient_south_cap_rejected():
-    basis = en.HarmonicBasis(4)
-    sample = en.sample_function(basis, 1)
-    with pytest.raises(ValueError):
-        en.eval_gradient_ambient(sample, -ge.north_pole(2))
+def test_gradient_at_south_pole():
+    h = 1e-5
+    for n in (4, 7):  # even and odd degree
+        sample = en.sample_function(en.HarmonicBasis(n), 1)
+        grad = en.eval_gradient_ambient(sample, -ge.north_pole(2))
+        for axis in range(2):
+            step = np.zeros(3)
+            step[axis] = math.sin(h)
+            step[2] = -math.cos(h)
+            back = step * np.array([-1.0, -1.0, 1.0])
+            fd = (en.eval(sample, step) - en.eval(sample, back)) / (2 * h)
+            assert grad[axis] == pytest.approx(fd, rel=1e-7, abs=1e-7)
+        assert grad[2] == 0.0
 
 
 def _points_past_one_block(extra=5):
@@ -168,13 +176,72 @@ def test_gradient_pole_handling_in_second_block():
     sample = en.sample_function(en.HarmonicBasis(6), 2)
     pts = _points_past_one_block()
     pts[en._BLOCK + 2] = ge.north_pole(2)
-    grads = en.eval_gradient_ambient_many(sample, pts)
-    assert np.array_equal(grads[en._BLOCK + 2], en._pole_gradient(sample))
-    assert np.array_equal(grads[en._BLOCK + 1],
-                          en.eval_gradient_ambient_many(sample, pts[en._BLOCK + 1:en._BLOCK + 2])[0])
     pts[en._BLOCK + 3] = -ge.north_pole(2)
-    with pytest.raises(ValueError):
-        en.eval_gradient_ambient_many(sample, pts)
+    grads = en.eval_gradient_ambient_many(sample, pts)
+    for i in (en._BLOCK + 2, en._BLOCK + 3):
+        assert np.array_equal(grads[i], en.eval_gradient_ambient(sample, pts[i]))
+    # an ordinary point agrees to rounding: BLAS may sum a one-point product
+    # in another order
+    single = en.eval_gradient_ambient(sample, pts[en._BLOCK + 1])
+    assert np.max(np.abs(grads[en._BLOCK + 1] - single)) <= 1e-14 * math.sqrt(6 * 7)
+    assert grads[en._BLOCK + 2, 2] == 0.0
+    assert grads[en._BLOCK + 3, 2] == 0.0
+
+
+def _theta_phi_gradient(sample, points):
+    """Independent oracle away from the poles, in spherical coordinates: per
+    order, d/dtheta and (1/sin) d/dphi of the real harmonics, through the
+    derivative relation sin dP_{n,k} = n cos P_{n,k} - c_{n,k} P_{n-1,k}."""
+    n, a = sample.basis.n, sample.a
+    cos_t, phi = points[:, 2], np.arctan2(points[:, 1], points[:, 0])
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    df_dth = np.zeros(len(points))
+    df_dphi = np.zeros(len(points))
+    s = math.sqrt((2 * n + 1) / (2 * n - 1.0))
+    lower = dict(en._legendre_orders(n - 1, cos_t, sin_t))
+    for k, pn in en._legendre_orders(n, cos_t, sin_t):
+        dpk = n * cos_t * pn
+        if k < n:
+            dpk = dpk - s * math.sqrt(n * n - k * k) * lower[k]
+        w = 1.0 if k == 0 else math.sqrt(2.0)
+        c, sn = np.cos(k * phi), np.sin(k * phi)
+        df_dth += w * dpk / sin_t * (a[n + k] * c + (a[n - k] * sn if k else 0.0))
+        df_dphi += w * k * pn / sin_t * (a[n - k] * c - a[n + k] * sn)
+    e_theta = np.stack([cos_t * np.cos(phi), cos_t * np.sin(phi), -sin_t], axis=1)
+    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros(len(points))], axis=1)
+    return sample.scale * (df_dth[:, None] * e_theta + df_dphi[:, None] * e_phi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+def test_ladder_gradient_matches_theta_phi_oracle(n):
+    sample = en.sample_function(en.HarmonicBasis(n), 30 + n)
+    pts = _points_past_one_block(extra=2000)
+    pts = pts[np.abs(pts[:, 2]) < 0.999]
+    assert len(pts) > en._BLOCK
+    err = np.max(np.abs(en.eval_gradient_ambient_many(sample, pts)
+                        - _theta_phi_gradient(sample, pts)))
+    assert err <= 1e-12 * math.sqrt(n * (n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_ladder_satisfies_euler_identity(n):
+    # the ambient gradient of r^n f(x/r), dotted with x, is n f(x)
+    sample = en.sample_function(en.HarmonicBasis(n), 8)
+    pts = unit_points(np.random.default_rng(6), 500)
+    coef = sample.scale * np.tensordot(sample.a, en._ladder(n), axes=(0, 0))
+    ambient = en.eval_basis_many(en.HarmonicBasis(n - 1), pts) @ coef
+    radial = np.sum(ambient * pts, axis=1)
+    assert np.max(np.abs(radial - n * en.eval_many(sample, pts))) <= 1e-12
+
+
+def test_degree_one_gradient_is_exact():
+    # f(x) = c.x, so its gradient on the sphere is c - (c.x) x
+    sample = en.sample_function(en.HarmonicBasis(1), 12)
+    c = np.array([en.eval(sample, e) for e in np.eye(3)])
+    pts = unit_points(np.random.default_rng(2), 200)
+    pts[:2] = [ge.north_pole(2), -ge.north_pole(2)]
+    want = c - (pts @ c)[:, None] * pts
+    assert np.max(np.abs(en.eval_gradient_ambient_many(sample, pts) - want)) <= 1e-14
 
 
 def test_expected_gradient_norm_squared():

@@ -277,6 +277,15 @@ def test_monte_carlo_deterministic_and_scheduling_invariant(mesh_level5):
     assert seq.as_dict() == par.as_dict()
 
 
+@pytest.mark.parametrize("env", ["abc", "0", "-2"])
+def test_worker_count_rejects_bad_environment_value(monkeypatch, env):
+    monkeypatch.setenv("SPHNODAL_WORKERS", env)
+    with pytest.raises(ValueError, match="SPHNODAL_WORKERS|worker count"):
+        nd._worker_count(None)
+    monkeypatch.setenv("SPHNODAL_WORKERS", "3")
+    assert nd._worker_count(None) == 3
+
+
 def test_monte_carlo_rejects_higher_dimensions():
     with pytest.raises(ValueError):
         nd.monte_carlo_experiment(sf.SphereModel(3, 5), 4, samples=2, seed=0)

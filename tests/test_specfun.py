@@ -294,3 +294,11 @@ def test_epsilon_rate():
     assert sf.epsilon_rate(2, 3) == pytest.approx(math.log(3) / 9, rel=1e-14)
     with pytest.raises(ValueError):
         sf.epsilon_rate(2, 1)
+
+
+def test_unconverged_quadrature_raises():
+    # a step inside a panel converges only at first order in the panel width
+    step = lambda th: (th > 1.0).astype(float)  # noqa: E731
+    with pytest.raises(RuntimeError, match="did not converge"):
+        sf._integrate_theta(step, 0.0, math.pi, 3, rtol=1e-15)
+    assert sf._integrate_theta(np.sin, 0.0, math.pi, 3) == pytest.approx(2.0, rel=1e-12)
