@@ -200,25 +200,18 @@ def _cmd_covariance_check(cfg: RunConfig):
     smallest_safe = None
     for n in sorted(set(cfg.n)):
         model = specfun.SphereModel(cfg.m, n)
-        scan = np.linspace(0.05, math.pi - 0.05, cfg.theta_points)
+        scan = covariance.blocks_at(model, np.linspace(0.05, math.pi - 0.05, cfg.theta_points))
+        eigs = covariance.omega_spectrum(scan)
+        det_sigma = np.prod(np.linalg.eigvalsh(covariance.sigma_matrix(scan)), axis=-1)
+        det_omega = (1.0 - scan.u**2) * np.prod(eigs, axis=(-2, -1))
+        det_err = float(np.max(np.abs(det_sigma - det_omega) / np.maximum(1.0, np.abs(det_sigma))))
+        degenerate = int(np.count_nonzero(covariance.degenerate(eigs, scan.scale)))
+        min_eig = float(eigs.min()) / scan.scale
         fd_grid = np.linspace(0.4, math.pi - 0.4, 7)
-        all_blocks = covariance.blocks_at_many(model, np.concatenate((scan, fd_grid)))
-        det_err = 0.0
-        degenerate = 0
-        min_eig = float("inf")
-        for blocks in all_blocks[:len(scan)]:
-            joint = covariance.gaussian_joint(blocks)
-            det_sigma = float(np.prod(np.linalg.eigvalsh(covariance.sigma_matrix(blocks))))
-            det_err = max(det_err, abs(det_sigma - joint.a_det * joint.omega_det)
-                          / max(1.0, abs(det_sigma)))
-            degenerate += int(joint.degenerate)
-            min_eig = min(min_eig, float(joint.omega_eigs[0]) / blocks.scale)
-        fd_err = 0.0
-        for blocks in all_blocks[len(scan):]:
-            fd = covariance.finite_difference_blocks(model, blocks.theta)
-            closed = (blocks.u, blocks.d_long, blocks.h_long, blocks.h_trans)
-            for got, want in zip(fd, closed):
-                fd_err = max(fd_err, abs(got - want) / max(1.0, blocks.scale))
+        fd = np.array([covariance.finite_difference_blocks(model, th) for th in fd_grid])
+        at_fd = covariance.blocks_at(model, fd_grid)
+        closed = np.stack((at_fd.u, at_fd.d_long, at_fd.h_long, at_fd.h_trans), axis=-1)
+        fd_err = float(np.max(np.abs(fd - closed))) / max(1.0, at_fd.scale)
         if degenerate == 0 and smallest_safe is None:
             smallest_safe = n
         rows.append([cfg.m, n, det_err, fd_err, degenerate, min_eig])
@@ -233,12 +226,12 @@ def _cmd_kernel_profile(cfg: RunConfig):
         model = specfun.SphereModel(cfg.m, n)
         theta_c = moments._split_theta(model, cfg.eps0) if n >= 2 else 0.05
         thetas = np.linspace(theta_c, math.pi - theta_c, cfg.theta_points)
-        for i, blocks in enumerate(covariance.blocks_at_many(model, thetas)):
-            value, se = moments.kernel_K(blocks, cfg.mc_paths,
-                                         seed=moments._node_seed(cfg.seed, i))
-            _, sigma_norm = covariance.s_matrix(blocks)
-            rows.append([cfg.m, n, blocks.theta, math.cos(blocks.theta), blocks.u,
-                         value, se, sigma_norm])
+        blocks = covariance.blocks_at(model, thetas)
+        values, ses = moments.kernel_K(blocks, cfg.mc_paths, cfg.seed)
+        norms = covariance.sigma_norm(covariance.omega_spectrum(blocks), blocks.scale)
+        rows += [[cfg.m, n, theta, math.cos(theta), u, value, se, norm]
+                 for theta, u, value, se, norm in zip(thetas.tolist(), blocks.u.tolist(),
+                                                      values.tolist(), ses.tolist(), norms.tolist())]
     return columns, rows, []
 
 

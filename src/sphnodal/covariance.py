@@ -6,13 +6,19 @@ scalars: u itself, the single nonzero gradient cross term d_long, and the
 longitudinal/transverse entries of the mixed second-derivative matrix H.
 Isotropy makes H diagonal with one longitudinal and m-1 equal transverse
 entries; the closed forms below are pinned by finite-difference oracles on
-the two-point function in the test suite.
+the two-point function in the test suite.  A record holds these scalars as
+arrays with the shape of the separation angles.
 
-Assembled objects: the full covariance Sigma of the 2m+2 dimensional
-vector, the reduced covariance Omega of the gradients conditioned on
-double vanishing, the deviation matrix S = I - (m/E) Omega and its
-spectral norm.  The identity det Sigma = (1-u^2) det Omega ties the two
-determinant routes together.
+The reduced covariance Omega of the two gradients, conditioned on double
+vanishing, pairs coordinate j at x with coordinate j at y.  Every block is
+diagonal, so Omega is a direct sum of m blocks [[alpha_j, gamma_j],
+[gamma_j, alpha_j]]: alpha_0 = a = E/m - rho and gamma_0 = c = h_long - u rho
+with rho = d_long^2/(1-u^2), and alpha_j = E/m, gamma_j = h_trans for j >= 1.
+Its spectrum alpha_j -+ gamma_j is therefore closed form, and the
+determinant, the degeneracy flag, the spectral norm of the deviation
+S = I - (m/E) Omega and the symmetric square root all follow from it.  The
+assembled Sigma and Omega remain as oracles; the identity
+det Sigma = (1-u^2) det Omega ties the two determinant routes together.
 """
 
 from __future__ import annotations
@@ -26,14 +32,13 @@ from .specfun import SphereModel, gegenbauer_eval_arrays
 
 __all__ = [
     "CovarianceBlocks",
-    "GaussianJoint",
     "DegenerateCovarianceError",
     "blocks_at",
-    "blocks_at_many",
     "sigma_matrix",
     "omega_matrix",
-    "gaussian_joint",
-    "s_matrix",
+    "omega_spectrum",
+    "degenerate",
+    "sigma_norm",
     "finite_difference_blocks",
 ]
 
@@ -54,95 +59,73 @@ class DegenerateCovarianceError(ValueError):
 
 @dataclass(frozen=True)
 class CovarianceBlocks:
-    """Aligned-frame scalars that determine every covariance matrix at a
-    fixed separation angle theta."""
+    """Aligned-frame scalars that determine every covariance matrix at the
+    separation angles theta; each field but ``scale`` has theta's shape."""
 
     model: SphereModel
-    theta: float
-    u: float
-    d_long: float
-    h_long: float
-    h_trans: float
+    theta: np.ndarray
+    u: np.ndarray
+    d_long: np.ndarray
+    h_long: np.ndarray
+    h_trans: np.ndarray
     scale: float  # E/m, the gradient variance per direction
 
 
-@dataclass(frozen=True)
-class GaussianJoint:
-    """Omega with its spectrum, the determinants and the degeneracy flag.
-    ``omega_eigs`` is ascending and column j of ``omega_vecs`` is the
-    eigenvector of ``omega_eigs[j]``."""
-
-    omega: np.ndarray
-    omega_eigs: np.ndarray
-    omega_vecs: np.ndarray
-    a_det: float
-    omega_det: float
-    degenerate: bool
-
-
-def blocks_at_many(model: SphereModel, thetas) -> list[CovarianceBlocks]:
-    """Covariance scalars at each of a sequence of separation angles in (0, pi).
+def blocks_at(model: SphereModel, theta) -> CovarianceBlocks:
+    """Covariance scalars at separation angles in (0, pi), scalar or array.
 
     With t = cos theta and (q, q', q'') from the polynomial evaluator:
     u = q, d_long = q' sin theta, h_long = -(1-t^2) q'' + t q',
     h_trans = q'.  First frame vector at x points toward y.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if np.any((thetas <= 0.0) | (thetas >= np.pi)):
+    theta = np.asarray(theta, dtype=float)
+    if np.any((theta <= 0.0) | (theta >= np.pi)):
         raise ValueError("separation angle must lie strictly inside (0, pi)")
-    t = np.cos(thetas)
-    s = np.sin(thetas)
+    t = np.cos(theta)
     q, dq, d2q = gegenbauer_eval_arrays(model, t)
     h_long = -(1.0 - t * t) * d2q + t * dq
-    scale = model.E / model.m
-    return [
-        CovarianceBlocks(model=model, theta=float(th), u=float(uu), d_long=float(dd),
-                         h_long=float(hl), h_trans=float(ht), scale=scale)
-        for th, uu, dd, hl, ht in zip(thetas, q, dq * s, h_long, dq)
-    ]
+    return CovarianceBlocks(model=model, theta=theta[()], u=q, d_long=dq * np.sin(theta),
+                            h_long=h_long, h_trans=dq, scale=model.E / model.m)
 
 
-def blocks_at(model: SphereModel, theta: float) -> CovarianceBlocks:
-    """Covariance scalars at one separation angle in (0, pi)."""
-    return blocks_at_many(model, [float(theta)])[0]
+def _h_diag(blocks: CovarianceBlocks) -> np.ndarray:
+    """Diagonal of H, shape theta.shape + (m,)."""
+    h_long = np.asarray(blocks.h_long, dtype=float)
+    h = np.empty(h_long.shape + (blocks.model.m,))
+    h[..., 0] = h_long
+    h[..., 1:] = np.asarray(blocks.h_trans, dtype=float)[..., None]
+    return h
 
 
-def _h_matrix(blocks: CovarianceBlocks) -> np.ndarray:
-    m = blocks.model.m
-    h = np.full(m, blocks.h_trans)
-    h[0] = blocks.h_long
-    return np.diag(h)
-
-
-def _d_vector(blocks: CovarianceBlocks) -> np.ndarray:
-    d = np.zeros(blocks.model.m)
-    d[0] = blocks.d_long
-    return d
+def _rho(blocks: CovarianceBlocks) -> np.ndarray:
+    """d_long^2 / (1 - u^2), the rank-one correction of the conditioning."""
+    u = np.asarray(blocks.u, dtype=float)
+    if np.any(1.0 - np.abs(u) < 1e-12):
+        raise ValueError("reduced covariance requires |u| < 1")
+    d = np.asarray(blocks.d_long, dtype=float)
+    return d * d / (1.0 - u * u)
 
 
 def sigma_matrix(blocks: CovarianceBlocks) -> np.ndarray:
     """Full (2m+2) x (2m+2) covariance [[A, B], [B^t, C]] in the aligned
-    frame: A = [[1,u],[u,1]], B carries +-D, and C pairs (E/m) I with H."""
+    frame, stacked over theta's shape: A = [[1,u],[u,1]], B carries +-D, and
+    C pairs (E/m) I with H."""
     m = blocks.model.m
-    scale = blocks.scale
-    d = _d_vector(blocks)
-    h = _h_matrix(blocks)
-    sigma = np.zeros((2 * m + 2, 2 * m + 2))
-    sigma[0, 0] = sigma[1, 1] = 1.0
-    sigma[0, 1] = sigma[1, 0] = blocks.u
-    sigma[0, 2 + m:] = -d
-    sigma[1, 2:2 + m] = d
-    sigma[2 + m:, 0] = -d
-    sigma[2:2 + m, 1] = d
-    sigma[2:2 + m, 2:2 + m] = scale * np.eye(m)
-    sigma[2 + m:, 2 + m:] = scale * np.eye(m)
-    sigma[2:2 + m, 2 + m:] = h
-    sigma[2 + m:, 2:2 + m] = h.T
+    h = _h_diag(blocks)
+    j = np.arange(m)
+    sigma = np.zeros(h.shape[:-1] + (2 * m + 2, 2 * m + 2))
+    sigma[..., [0, 1], [0, 1]] = 1.0
+    sigma[..., 0, 1] = sigma[..., 1, 0] = blocks.u
+    sigma[..., 0, 2 + m] = sigma[..., 2 + m, 0] = -np.asarray(blocks.d_long)
+    sigma[..., 1, 2] = sigma[..., 2, 1] = blocks.d_long
+    sigma[..., 2 + j, 2 + j] = sigma[..., 2 + m + j, 2 + m + j] = blocks.scale
+    sigma[..., 2 + j, 2 + m + j] = sigma[..., 2 + m + j, 2 + j] = h
     return sigma
 
 
 def omega_matrix(blocks: CovarianceBlocks) -> np.ndarray:
-    """Reduced 2m x 2m covariance of the gradients given f(x) = f(y) = 0.
+    """Reduced 2m x 2m covariance of the gradients given f(x) = f(y) = 0,
+    stacked over theta's shape.
 
     Schur complement of the A block in Sigma:
     diagonal blocks (E/m) I - D D^t/(1-u^2), off-diagonal blocks
@@ -151,51 +134,48 @@ def omega_matrix(blocks: CovarianceBlocks) -> np.ndarray:
     covariance can be written down directly; it is what makes the matrix
     positive semidefinite and the determinant identity hold.
     """
-    u = blocks.u
-    if 1.0 - abs(u) < 1e-12:
-        raise ValueError("reduced covariance requires |u| < 1")
     m = blocks.model.m
-    d = _d_vector(blocks)
-    h = _h_matrix(blocks)
-    rho = np.outer(d, d) / (1.0 - u * u)
-    omega = np.zeros((2 * m, 2 * m))
-    omega[:m, :m] = blocks.scale * np.eye(m) - rho
-    omega[m:, m:] = blocks.scale * np.eye(m) - rho
-    omega[:m, m:] = h - u * rho
-    omega[m:, :m] = h.T - u * rho
+    rho = _rho(blocks)
+    h = _h_diag(blocks)
+    h[..., 0] -= blocks.u * rho
+    j = np.arange(m)
+    omega = np.zeros(h.shape[:-1] + (2 * m, 2 * m))
+    omega[..., j, j] = omega[..., m + j, m + j] = blocks.scale
+    omega[..., 0, 0] = omega[..., m, m] = blocks.scale - rho
+    omega[..., j, m + j] = omega[..., m + j, j] = h
     return omega
 
 
-def gaussian_joint(blocks: CovarianceBlocks) -> GaussianJoint:
-    """Assemble Omega and eigendecompose it, once; the determinant and the
-    degeneracy flag come from that spectrum."""
-    omega = omega_matrix(blocks)
-    omega_eigs, omega_vecs = np.linalg.eigh(omega)
-    scale = blocks.scale
-    if omega_eigs[0] < -PSD_SLACK_RTOL * scale:
+def omega_spectrum(blocks: CovarianceBlocks) -> np.ndarray:
+    """Eigenvalues of Omega in closed form, shape theta.shape + (m, 2):
+    entry [..., j, :] is the pair (alpha_j - gamma_j, alpha_j + gamma_j) of
+    block j.  Raises if an eigenvalue is negative beyond roundoff."""
+    rho = _rho(blocks)
+    gamma = _h_diag(blocks)
+    gamma[..., 0] -= blocks.u * rho
+    alpha = np.full_like(gamma, blocks.scale)
+    alpha[..., 0] -= rho
+    eigs = np.stack((alpha - gamma, alpha + gamma), axis=-1)
+    smallest = eigs.min(axis=(-2, -1))
+    negative = smallest < -PSD_SLACK_RTOL * blocks.scale
+    if np.any(negative):
+        first = np.argmax(negative.ravel())
         raise DegenerateCovarianceError(
-            f"reduced covariance has negative eigenvalue {omega_eigs[0]:g}",
-            eigenvalue=float(omega_eigs[0]),
-            theta=blocks.theta,
+            f"reduced covariance has negative eigenvalue {smallest.min():g}",
+            eigenvalue=float(smallest.min()),
+            theta=float(np.broadcast_to(blocks.theta, negative.shape).ravel()[first]),
         )
-    degenerate = bool(omega_eigs[0] < DEGENERACY_RTOL * scale)
-    return GaussianJoint(
-        omega=omega,
-        omega_eigs=omega_eigs,
-        omega_vecs=omega_vecs,
-        a_det=1.0 - blocks.u**2,
-        omega_det=float(np.prod(omega_eigs)),
-        degenerate=degenerate,
-    )
+    return eigs
 
 
-def s_matrix(blocks: CovarianceBlocks) -> tuple[np.ndarray, float]:
-    """Deviation from independence, S = I - (m/E) Omega, and its spectral
-    norm (largest absolute eigenvalue)."""
-    omega = omega_matrix(blocks)
-    s = np.eye(omega.shape[0]) - omega / blocks.scale
-    eigs = np.linalg.eigvalsh(s)
-    return s, float(max(abs(eigs[0]), abs(eigs[-1])))
+def degenerate(eigs: np.ndarray, scale: float) -> np.ndarray:
+    """Mask of the angles whose Omega spectrum ``eigs`` is degenerate."""
+    return eigs.min(axis=(-2, -1)) < DEGENERACY_RTOL * scale
+
+
+def sigma_norm(eigs: np.ndarray, scale: float) -> np.ndarray:
+    """Spectral norm of S = I - Omega/scale, max |1 - lambda/scale|."""
+    return np.abs(1.0 - eigs / scale).max(axis=(-2, -1))
 
 
 def finite_difference_blocks(model: SphereModel, theta: float, h: float = 1e-4):

@@ -116,40 +116,60 @@ def volume_expectation(model: SphereModel) -> float:
 # Kernel Monte Carlo
 # ---------------------------------------------------------------------------
 
-def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the kernel at one separation, with its
-    standard error.
+def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo estimate of the kernel at every separation of the record,
+    with its standard error; both have theta's shape.
 
-    Draws N(0, Omega) through the symmetric square root, in antithetic
-    pairs (z, -z); statistics are taken over pair means so the reported
-    standard error stays honest.  Deterministic for a fixed seed.
+    Draws N(0, Omega) through the symmetric square root, which on each
+    2x2 block [[alpha, gamma], [gamma, alpha]] of Omega is [[p, q], [q, p]]
+    with p, q = (sqrt(alpha + gamma) +- sqrt(alpha - gamma)) / 2, in
+    antithetic pairs (z, -z); statistics are taken over pair means so the
+    reported standard error stays honest.  Every node is checked for a
+    degenerate Omega before any draw.  Node i draws from its own Philox
+    stream keyed (seed, i), so the result is deterministic for a fixed seed
+    and does not depend on evaluation order.
     """
     if mc_paths < 4:
         raise ValueError(f"kernel Monte Carlo needs at least 4 paths (two antithetic "
                          f"pairs) for a standard error, got {mc_paths}")
-    if abs(blocks.u) >= 1.0:
-        raise ValueError("kernel requires |u| < 1")
+    if mc_paths % 2:
+        raise ValueError(f"kernel Monte Carlo draws antithetic pairs, so the path count "
+                         f"must be even, got {mc_paths}")
     m = blocks.model.m
-    joint = covariance.gaussian_joint(blocks)
-    if joint.degenerate:
+    eigs = covariance.omega_spectrum(blocks)
+    bad = covariance.degenerate(eigs, blocks.scale)
+    if np.any(bad):
+        thetas = np.broadcast_to(blocks.theta, bad.shape)[bad]
+        smallest = float(eigs[bad].min())
         raise covariance.DegenerateCovarianceError(
-            f"kernel undefined: reduced covariance degenerate at theta={blocks.theta:g} "
-            f"(min eigenvalue {joint.omega_eigs[0]:g})",
-            eigenvalue=float(joint.omega_eigs[0]),
-            theta=blocks.theta,
+            f"kernel undefined: reduced covariance degenerate at {thetas.size} quadrature "
+            f"nodes (first few thetas: {[round(float(t), 4) for t in thetas[:5]]}, "
+            f"min eigenvalue {smallest:g}); increase the degree",
+            eigenvalue=smallest,
+            theta=float(thetas[0]),
         )
-    factor = joint.omega_vecs * np.sqrt(np.maximum(joint.omega_eigs, 0.0))
+    roots = np.sqrt(eigs)
+    p = 0.5 * (roots[..., 1] + roots[..., 0]).reshape(-1, m)
+    q = 0.5 * (roots[..., 1] - roots[..., 0]).reshape(-1, m)
+    j = np.arange(m)
+    root = np.zeros((2 * m, 2 * m))
     pairs = mc_paths // 2
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    z = rng.standard_normal((pairs, 2 * m))
-    w = z @ factor.T
-    prod = np.linalg.norm(w[:, :m], axis=1) * np.linalg.norm(w[:, m:], axis=1)
-    # |w| is even in z, so each antithetic partner repeats the value and the
-    # pair mean is the value itself
-    denom = 2.0 * math.pi * math.sqrt(1.0 - blocks.u**2)
-    value = float(np.mean(prod)) / denom
-    std_error = float(np.std(prod, ddof=1) / math.sqrt(pairs)) / denom
-    return value, std_error
+    means = np.empty(len(p))
+    sds = np.empty(len(p))
+    for i in range(len(p)):
+        root[j, j] = root[m + j, m + j] = p[i]
+        root[j, m + j] = root[m + j, j] = q[i]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_node_seed(seed, i))))
+        w = rng.standard_normal((pairs, 2 * m)) @ root
+        prod = np.linalg.norm(w[:, :m], axis=1) * np.linalg.norm(w[:, m:], axis=1)
+        # |w| is even in z, so each antithetic partner repeats the value and
+        # the pair mean is the value itself
+        means[i] = np.mean(prod)
+        sds[i] = np.std(prod, ddof=1)
+    denom = 2.0 * math.pi * np.sqrt(1.0 - np.asarray(blocks.u) ** 2)
+    shape = bad.shape
+    return means.reshape(shape) / denom, sds.reshape(shape) / math.sqrt(pairs) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +286,17 @@ def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
     ``nonsingular_contribution`` / ``singular_contribution`` so the budget
     stays visible.  If the accumulated Monte Carlo error exceeds the
     quadrature tolerance the path count is doubled a few times before
-    giving up.  A degenerate node does not stop the first pass, so the error
-    it raises lists every offending angle.
+    giving up.  Every node is checked for degeneracy before any draw, so the
+    error lists every offending angle.
     """
     quad = quad or QuadratureSpec(relative_tolerance=1e-3)
     vol = sphere_volume(model.m)
     theta_c, nodes, weights = _nonsingular_nodes(model, quad)
-    all_blocks = covariance.blocks_at_many(model, nodes)
+    blocks = covariance.blocks_at(model, nodes)
 
     paths = mc_paths
     for _ in range(4):
-        vals = np.empty(len(all_blocks))
-        errs = np.empty(len(all_blocks))
-        bad = []
-        for i, b in enumerate(all_blocks):
-            try:
-                vals[i], errs[i] = kernel_K(b, paths, seed=_node_seed(seed, i))
-            except covariance.DegenerateCovarianceError:
-                bad.append(b.theta)
-        if bad:
-            raise covariance.DegenerateCovarianceError(
-                f"degenerate reduced covariance at {len(bad)} quadrature nodes "
-                f"(first few thetas: {[round(t, 4) for t in bad[:5]]}); "
-                "increase the degree",
-                eigenvalue=float("nan"),
-            )
+        vals, errs = kernel_K(blocks, paths, seed)
         nonsing = vol * float(np.dot(weights, vals))
         mc_se = vol * float(np.sqrt(np.sum((weights * errs) ** 2)))
         if mc_se <= quad.relative_tolerance * abs(nonsing):
@@ -337,5 +343,6 @@ def sigma_scaling_report(model: SphereModel, quad: QuadratureSpec | None = None)
     """Integrals of the spectral norm of S and of its square over the
     nonsingular interval, against dmu."""
     _, nodes, weights = _nonsingular_nodes(model, quad or QuadratureSpec())
-    sigma = np.array([covariance.s_matrix(b)[1] for b in covariance.blocks_at_many(model, nodes)])
+    blocks = covariance.blocks_at(model, nodes)
+    sigma = covariance.sigma_norm(covariance.omega_spectrum(blocks), blocks.scale)
     return float(np.dot(weights, sigma)), float(np.dot(weights, sigma**2))

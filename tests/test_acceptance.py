@@ -210,12 +210,12 @@ def test_criterion_7_covariance_machinery():
     for m in (2, 3):
         for n in (3, 10, 25):
             model = sf.SphereModel(m, n)
-            for theta in np.linspace(0.05, math.pi - 0.05, 50):
-                blocks = cv.blocks_at(model, float(theta))
-                joint = cv.gaussian_joint(blocks)
-                det_sigma = float(np.prod(np.linalg.eigvalsh(cv.sigma_matrix(blocks))))
-                det_worst = max(det_worst, abs(det_sigma - joint.a_det * joint.omega_det)
-                                / max(1.0, abs(det_sigma)))
+            blocks = cv.blocks_at(model, np.linspace(0.05, math.pi - 0.05, 50))
+            det_sigma = np.prod(np.linalg.eigvalsh(cv.sigma_matrix(blocks)), axis=-1)
+            det_omega = np.prod(cv.omega_spectrum(blocks), axis=(-2, -1))
+            det_worst = max(det_worst, float(np.max(
+                np.abs(det_sigma - (1.0 - blocks.u**2) * det_omega)
+                / np.maximum(1.0, np.abs(det_sigma)))))
     fd_worst = 0.0
     for m in (2, 3):
         for n in (3, 10, 25):
@@ -253,7 +253,8 @@ def test_criterion_7_covariance_machinery():
         se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / 10**5)
         z_worst = max(z_worst, float(np.max(np.abs(emp - theory) / np.maximum(se, 1e-12))))
 
-    degenerate_detected = cv.gaussian_joint(cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)).degenerate
+    exact = cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)
+    degenerate_detected = bool(cv.degenerate(cv.omega_spectrum(exact), exact.scale))
     check("criterion 7: covariance machinery", [
         (f"det identity within 1e-8 on the grid (got {det_worst:.2e})", det_worst <= 1e-8),
         (f"blocks match FD oracles to 1e-5 (got {fd_worst:.2e})", fd_worst <= 1e-5),

@@ -67,25 +67,43 @@ def test_blocks_theta_reflection_parity():
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_blocks_at_many_matches_blocks_at(m):
+def test_scalar_and_array_records_agree(m):
     model = sf.SphereModel(m, 11)
     thetas = np.linspace(0.03, math.pi - 0.03, 301)
-    many = cv.blocks_at_many(model, thetas)
-    assert len(many) == thetas.size
-    for theta, blocks in zip(thetas, many):
-        assert blocks == cv.blocks_at(model, float(theta))
+    many = cv.blocks_at(model, thetas)
+    for name in ("theta", "u", "d_long", "h_long", "h_trans"):
+        assert getattr(many, name).shape == thetas.shape
+    sigmas, omegas = cv.sigma_matrix(many), cv.omega_matrix(many)
+    for i, theta in enumerate(thetas):
+        one = cv.blocks_at(model, float(theta))
+        for name in ("theta", "u", "d_long", "h_long", "h_trans"):
+            assert getattr(one, name) == getattr(many, name)[i]
+        assert one.scale == many.scale == model.E / m
+        assert np.array_equal(cv.sigma_matrix(one), sigmas[i])
+        assert np.array_equal(cv.omega_matrix(one), omegas[i])
 
 
-def test_gaussian_joint_spectrum():
-    for m, n in [(2, 7), (3, 10)]:
-        model = sf.SphereModel(m, n)
-        for theta in np.linspace(0.1, math.pi - 0.1, 25):
-            joint = cv.gaussian_joint(cv.blocks_at(model, float(theta)))
-            eigs, vecs = joint.omega_eigs, joint.omega_vecs
-            assert np.all(np.diff(eigs) >= 0.0)
-            rebuilt = vecs @ np.diag(eigs) @ vecs.T
-            assert np.max(np.abs(rebuilt - joint.omega)) <= 1e-12 * model.E / m
-            assert joint.omega_det == float(np.prod(eigs))
+def test_omega_spectrum_matches_assembled_omega():
+    for m in (2, 3, 4):
+        for n in (3, 10, 40):
+            model = sf.SphereModel(m, n)
+            blocks = cv.blocks_at(model, np.linspace(0.1, math.pi - 0.1, 40))
+            eigs = cv.omega_spectrum(blocks)
+            assert eigs.shape == (40, m, 2)
+            want = np.linalg.eigvalsh(cv.omega_matrix(blocks))
+            got = np.sort(eigs.reshape(40, 2 * m), axis=-1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * model.E / m
+
+
+def test_omega_spectrum_rejects_negative_eigenvalue():
+    model = sf.SphereModel(2, 2)
+    blocks = cv.CovarianceBlocks(model=model, theta=np.array([0.5, 1.0, 1.5]),
+                                 u=np.zeros(3), d_long=np.zeros(3), h_long=np.zeros(3),
+                                 h_trans=np.array([0.0, 3.5, 4.0]), scale=3.0)
+    with pytest.raises(cv.DegenerateCovarianceError) as err:
+        cv.omega_spectrum(blocks)
+    assert err.value.eigenvalue == pytest.approx(-1.0, abs=1e-15)
+    assert err.value.theta == 1.0  # the first offending angle
 
 
 def test_sigma_layout():
@@ -106,21 +124,24 @@ def test_sigma_degenerate_at_coincidence_limit():
 
 
 def test_omega_example_eigenvalues():
-    joint = cv.gaussian_joint(cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2))
-    eigs = np.sort(np.linalg.eigvalsh(joint.omega))
-    assert eigs == pytest.approx([0.0, 3.0, 3.0, 6.0], abs=1e-12)
-    assert joint.degenerate
-    assert joint.omega_det == pytest.approx(0.0, abs=1e-10)
+    blocks = cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)
+    eigs = cv.omega_spectrum(blocks)
+    assert np.sort(eigs.ravel()) == pytest.approx([0.0, 3.0, 3.0, 6.0], abs=1e-12)
+    assert np.linalg.eigvalsh(cv.omega_matrix(blocks)) == pytest.approx([0.0, 3.0, 3.0, 6.0],
+                                                                         abs=1e-12)
+    assert cv.degenerate(eigs, blocks.scale)
+    assert np.prod(eigs) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_omega_independence_case():
     model = sf.SphereModel(2, 2)
     blocks = cv.CovarianceBlocks(model=model, theta=1.0, u=0.0, d_long=0.0,
                                  h_long=0.0, h_trans=0.0, scale=3.0)
-    joint = cv.gaussian_joint(blocks)
-    assert np.allclose(joint.omega, 3.0 * np.eye(4))
-    assert joint.omega_det == pytest.approx(3.0**4, rel=1e-12)
-    assert not joint.degenerate
+    assert np.array_equal(cv.omega_matrix(blocks), 3.0 * np.eye(4))
+    eigs = cv.omega_spectrum(blocks)
+    assert np.array_equal(eigs, np.full((2, 2), 3.0))
+    assert np.prod(eigs) == pytest.approx(3.0**4, rel=1e-12)
+    assert not cv.degenerate(eigs, blocks.scale)
 
 
 def test_omega_requires_u_inside_unit_interval():
@@ -129,33 +150,33 @@ def test_omega_requires_u_inside_unit_interval():
                                  h_long=0.0, h_trans=0.0, scale=3.0)
     with pytest.raises(ValueError):
         cv.omega_matrix(blocks)
+    with pytest.raises(ValueError):
+        cv.omega_spectrum(blocks)
 
 
 def test_determinant_identity_and_psd_on_grid():
     for m in (2, 3):
         for n in (3, 10, 25):
             model = sf.SphereModel(m, n)
-            for theta in np.linspace(0.05, math.pi - 0.05, 50):
-                blocks = cv.blocks_at(model, float(theta))
-                joint = cv.gaussian_joint(blocks)
-                det_sigma = float(np.prod(np.linalg.eigvalsh(cv.sigma_matrix(blocks))))
-                assert abs(det_sigma - joint.a_det * joint.omega_det) <= 1e-8 * max(
-                    1.0, abs(det_sigma)
-                )
-                assert np.linalg.eigvalsh(joint.omega)[0] >= -1e-9 * model.E / m
+            blocks = cv.blocks_at(model, np.linspace(0.05, math.pi - 0.05, 50))
+            det_sigma = np.prod(np.linalg.eigvalsh(cv.sigma_matrix(blocks)), axis=-1)
+            det_omega = np.prod(cv.omega_spectrum(blocks), axis=(-2, -1))
+            assert np.all(np.abs(det_sigma - (1.0 - blocks.u**2) * det_omega)
+                          <= 1e-8 * np.maximum(1.0, np.abs(det_sigma)))
+            assert np.all(np.linalg.eigvalsh(cv.omega_matrix(blocks))[:, 0] >= -1e-9 * model.E / m)
 
 
 def test_s_matrix_independence():
     model = sf.SphereModel(2, 2)
     blocks = cv.CovarianceBlocks(model=model, theta=1.0, u=0.0, d_long=0.0,
                                  h_long=0.0, h_trans=0.0, scale=3.0)
-    s, norm = cv.s_matrix(blocks)
-    assert np.max(np.abs(s)) == 0.0
-    assert norm == 0.0
+    assert np.max(np.abs(np.eye(4) - cv.omega_matrix(blocks) / blocks.scale)) == 0.0
+    assert cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale) == 0.0
 
 
 def test_s_matrix_degenerate_direction_has_unit_eigenvalue():
-    _, norm = cv.s_matrix(cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2))
+    blocks = cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)
+    norm = cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale)
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -163,9 +184,12 @@ def test_s_matrix_contraction_on_nonsingular_interval():
     model = sf.SphereModel(2, 40)
     c0 = sf.find_c0(model, 0.9)
     theta_c = math.acos(1 - c0 / model.n**2)
-    for theta in np.linspace(theta_c, math.pi - theta_c, 120):
-        _, norm = cv.s_matrix(cv.blocks_at(model, float(theta)))
-        assert norm < 1 - 1e-9
+    blocks = cv.blocks_at(model, np.linspace(theta_c, math.pi - theta_c, 120))
+    norm = cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale)
+    assert np.all(norm < 1 - 1e-9)
+    # the closed form is the spectral norm of the assembled S = I - Omega/scale
+    s = np.eye(4) - cv.omega_matrix(blocks) / blocks.scale
+    assert norm == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(s)), axis=-1), abs=1e-14)
 
 
 def test_sigma_matches_ensemble_covariance():

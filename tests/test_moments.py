@@ -51,10 +51,21 @@ def test_quadrature_spec_validation():
 # Kernel
 # ---------------------------------------------------------------------------
 
-def test_kernel_independence_oracle():
-    model = sf.SphereModel(2, 2)
-    value, se = mo.kernel_K(independence_blocks(model), 200000, seed=11)
-    assert abs(value - model.E / 8.0) <= 3 * se
+@pytest.mark.parametrize("m, r", [(2, 0.0), (2, 0.6), (2, 0.9), (3, 0.9)])
+def test_kernel_independence_oracle(m, r):
+    # w_1, w_2 ~ N(0, sigma I) with correlation r per coordinate:
+    # E|w_1||w_2| = 2 sigma [Gamma((m+1)/2) / Gamma(m/2)]^2 2F1(-1/2, -1/2; m/2; r^2)
+    special = pytest.importorskip("scipy.special")
+    model = sf.SphereModel(m, 2)
+    sigma = model.E / m
+    blocks = cv.CovarianceBlocks(model=model, theta=1.0, u=0.0, d_long=0.0,
+                                 h_long=r * sigma, h_trans=r * sigma, scale=sigma)
+    value, se = mo.kernel_K(blocks, 200000, seed=11)
+    ratio = math.exp(math.lgamma((m + 1) / 2) - math.lgamma(m / 2))
+    want = 2 * sigma * ratio**2 * special.hyp2f1(-0.5, -0.5, m / 2, r * r) / (2 * math.pi)
+    if r == 0.0:
+        assert want == pytest.approx(model.E / 8.0, rel=1e-14)
+    assert abs(value - want) <= 3 * se
 
 
 def test_kernel_correlated_values_oracle():
@@ -67,6 +78,17 @@ def test_kernel_rejects_degenerate():
     with pytest.raises(cv.DegenerateCovarianceError) as err:
         mo.kernel_K(cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2), 1000, 0)
     assert err.value.eigenvalue == pytest.approx(0.0, abs=1e-12)
+    assert err.value.theta == math.pi / 2
+
+
+def test_kernel_array_record_keys_streams_by_node():
+    model = sf.SphereModel(2, 9)
+    thetas = np.linspace(0.4, 2.6, 6).reshape(2, 3)
+    values, errs = mo.kernel_K(cv.blocks_at(model, thetas), 2000, seed=4)
+    assert values.shape == errs.shape == thetas.shape
+    # node 0 of any record draws from the stream keyed (seed, 0)
+    assert mo.kernel_K(cv.blocks_at(model, float(thetas[0, 0])), 2000, seed=4) == (
+        values[0, 0], errs[0, 0])
 
 
 def test_kernel_deterministic():
@@ -200,26 +222,37 @@ def test_volume_second_moment_rejects_degenerate_degree():
                                 mc_paths=2000, seed=0)
     assert "theta" in str(err.value)
     assert "at 128 quadrature nodes" in str(err.value)  # every node, not the first
+    assert err.value.eigenvalue == pytest.approx(0.0, abs=1e-12)
+    assert err.value.theta is not None and 0.0 < err.value.theta < math.pi
 
 
-def test_volume_second_moment_one_joint_per_node(monkeypatch):
-    calls = {"joint": 0, "kernel": 0}
-    joint, kernel = cv.gaussian_joint, mo.kernel_K
+def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys):
+    from sphnodal import cli
 
-    def counted_joint(blocks):
-        calls["joint"] += 1
-        return joint(blocks)
+    def refuse(blocks):
+        raise AssertionError("assembled covariance matrix on a production path")
+
+    calls = []
+    kernel = mo.kernel_K
 
     def counted_kernel(*args, **kwargs):
-        calls["kernel"] += 1
+        calls.append(args[1])
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(cv, "gaussian_joint", counted_joint)
+    monkeypatch.setattr(cv, "omega_matrix", refuse)
+    monkeypatch.setattr(cv, "sigma_matrix", refuse)
     monkeypatch.setattr(mo, "kernel_K", counted_kernel)
-    mo.volume_second_moment(sf.SphereModel(2, 10), mo.QuadratureSpec(relative_tolerance=1e-3),
-                            mc_paths=20000, seed=3)
-    # 80 panels of 8 nodes, one Monte Carlo pass
-    assert calls == {"joint": 640, "kernel": 640}
+    rep = mo.volume_second_moment(sf.SphereModel(2, 10), mo.QuadratureSpec(relative_tolerance=1e-3),
+                                  mc_paths=20000, seed=3)
+    # one kernel_K call per Monte Carlo pass, each pass doubling the paths
+    assert calls == [20000 * 2**k for k in range(len(calls))]
+    assert calls[-1] == rep.mc_paths
+    mo.sigma_scaling_report(sf.SphereModel(2, 10))
+    passes = len(calls)
+    assert cli.main(["kernel-profile", "--n", "8,9", "--theta-points", "5",
+                     "--mc-paths", "400"]) == 0
+    assert len(calls) == passes + 2  # one per degree
+    assert capsys.readouterr().out.count("\n") == 2 + 10
 
 
 def test_volume_report_dict_roundtrip(volume_reports):
@@ -248,7 +281,7 @@ def test_sigma_scaling_bounded():
 
 def _sigma_scaling_oracle(model):
     # S = I - (m/E) Omega written out entry by entry from the aligned-frame
-    # scalars, independent of covariance.omega_matrix and s_matrix
+    # scalars, independent of covariance.omega_matrix and omega_spectrum
     m = model.m
     quad = mo.QuadratureSpec()
     theta_c = mo._split_theta(model, quad.singular_split_eps0)
