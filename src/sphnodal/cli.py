@@ -138,10 +138,8 @@ def _cmd_moments_table(cfg: RunConfig):
     limit = 2.0 ** (m - 1) * math.pi ** (m / 2.0) * math.gamma(m / 2.0)
     for n in cfg.n:
         model = specfun.SphereModel(m, n)
-        q2 = specfun.moment_integral(model, "Q2")
+        q2, q4, dq2 = specfun.moment_integral(model, ("Q2", "Q4", "DQ2"))
         closed = specfun.second_moment_closed_form(model)
-        q4 = specfun.moment_integral(model, "Q4")
-        dq2 = specfun.moment_integral(model, "DQ2")
         rows.append([m, n, model.N, model.E, q2, closed,
                      abs(q2 - closed) / closed, q4, dq2,
                      n ** (m - 1) * q2 / limit])

@@ -320,52 +320,89 @@ def _integrate_theta(f, a: float, b: float, panels: int, rtol: float = 1e-10,
     weight included by the caller).  Raises RuntimeError if ``max_doublings``
     doublings do not bring two successive values within ``rtol``.
     """
-    nodes, weights = _panel_nodes(a, b, panels)
-    val = float(np.dot(weights, f(nodes)))
-    for _ in range(max_doublings):
-        panels *= 2
+    return _integrate_theta_many(lambda nodes, active: lambda k: f(nodes), 1, a, b, panels,
+                                 rtol, max_doublings)[0]
+
+
+def _integrate_theta_many(integrands, count: int, a: float, b: float, panels: int,
+                          rtol: float = 1e-10, max_doublings: int = 8) -> list[float]:
+    """``_integrate_theta`` for ``count`` integrands on shared panel levels.
+
+    ``integrands(nodes, active)`` prepares one panel level for the
+    integrands whose indices are in ``active`` and returns a function that
+    gives integrand k on ``nodes``; each is reduced to its weighted sum
+    before the next is formed, so one integrand array is alive at a time.
+    Each integrand converges on its own: once two successive levels agree
+    within ``rtol`` it keeps the finer value and leaves ``active``, so every
+    value is the one a single-integrand run would return.
+    """
+    values: dict[int, float] = {}
+    active = tuple(range(count))
+    for level in range(max_doublings + 1):
         nodes, weights = _panel_nodes(a, b, panels)
-        new = float(np.dot(weights, f(nodes)))
-        change = abs(new - val)
-        if change <= rtol * max(1.0, abs(new)):
-            return new
-        val = new
+        integrand = integrands(nodes, active)
+        sums = {k: float(np.dot(weights, integrand(k))) for k in active}
+        del integrand  # frees this level's arrays before the next level builds its own
+        changes = {k: abs(sums[k] - values[k]) for k in active} if level else {}
+        values.update(sums)
+        # "not <=" keeps a NaN change unconverged
+        active = tuple(k for k in active
+                       if not level or not changes[k] <= rtol * max(1.0, abs(sums[k])))
+        if not active:
+            return [values[k] for k in range(count)]
+        if level < max_doublings:
+            panels *= 2
+    change = max(changes[k] for k in active)
     raise RuntimeError(f"quadrature on [{a:g}, {b:g}] did not converge with {panels} panels: "
                        f"last change {change:.3g}, rtol {rtol:g}")
 
 
-def moment_integral(model: SphereModel, kind: str) -> float:
+_DERIVATIVE_KINDS = ("DQ2", "DQ4_weighted", "D2Q2_weighted")
+
+
+def moment_integral(model: SphereModel, kind: str | tuple[str, ...]):
     """Integral of a Q_n-derived quantity against dmu over [-1, 1].
 
     kind selects the integrand: Q2 -> Q^2, Q4 -> Q^4, DQ2 -> (Q')^2,
     DQ4_weighted -> (Q')^4 (1-t^2)^2, D2Q2_weighted -> (Q'')^2 (1-t^2)^2.
     Evaluated in the theta = arccos t parameterization with panels no wider
     than pi/(8n), so oscillations of Q_n are resolved by >= 16 nodes each.
+    A tuple of kinds gives a tuple of integrals, in order, from one Q_n
+    recurrence per panel level; each equals its single-kind value exactly.
     """
-    if kind not in MOMENT_KINDS:
-        raise ValueError(f"unknown moment kind {kind!r}")
+    kinds = (kind,) if isinstance(kind, str) else tuple(kind)
+    for k in kinds:
+        if k not in MOMENT_KINDS:
+            raise ValueError(f"unknown moment kind {k!r}")
     m, n = model.m, model.n
     wm = mu_weight_constant(m)
 
-    def integrand(thetas: np.ndarray) -> np.ndarray:
+    def integrands(thetas: np.ndarray, active: tuple[int, ...]):
         t = np.cos(thetas)
-        s = np.sin(thetas)
-        if kind == "Q2":
-            g = gegenbauer_q(model, t) ** 2
-        elif kind == "Q4":
-            g = gegenbauer_q(model, t) ** 4
+        sm = np.sin(thetas) ** (m - 1)
+        if any(kinds[k] in _DERIVATIVE_KINDS for k in active):
+            q, dq, d2q = gegenbauer_eval_arrays(model, t)
         else:
-            _, dq, d2q = gegenbauer_eval_arrays(model, t)
-            if kind == "DQ2":
+            q = gegenbauer_q(model, t)
+
+        def integrand(k: int) -> np.ndarray:
+            if kinds[k] == "Q2":
+                g = q**2
+            elif kinds[k] == "Q4":
+                g = q**4
+            elif kinds[k] == "DQ2":
                 g = dq**2
-            elif kind == "DQ4_weighted":
+            elif kinds[k] == "DQ4_weighted":
                 g = dq**4 * (1.0 - t * t) ** 2
             else:
                 g = d2q**2 * (1.0 - t * t) ** 2
-        return wm * g * s ** (m - 1)
+            return wm * g * sm
+
+        return integrand
 
     panels = max(8, 8 * n)
-    return _integrate_theta(integrand, 0.0, math.pi, panels)
+    values = _integrate_theta_many(integrands, len(kinds), 0.0, math.pi, panels)
+    return values[0] if isinstance(kind, str) else tuple(values)
 
 
 def second_moment_closed_form(model: SphereModel) -> float:

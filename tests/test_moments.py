@@ -91,6 +91,48 @@ def test_kernel_array_record_keys_streams_by_node():
         values[0, 0], errs[0, 0])
 
 
+def _norm_kernel(blocks, mc_paths, seed):
+    # the per-node loop as it stood with np.linalg.norm on the half-slices
+    m = blocks.model.m
+    roots = np.sqrt(cv.omega_spectrum(blocks))
+    p = 0.5 * (roots[..., 1] + roots[..., 0]).reshape(-1, m)
+    q = 0.5 * (roots[..., 1] - roots[..., 0]).reshape(-1, m)
+    j = np.arange(m)
+    root = np.zeros((2 * m, 2 * m))
+    pairs = mc_paths // 2
+    means, sds = np.empty(len(p)), np.empty(len(p))
+    for i in range(len(p)):
+        root[j, j] = root[m + j, m + j] = p[i]
+        root[j, m + j] = root[m + j, j] = q[i]
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(mo._node_seed(seed, i))))
+        w = rng.standard_normal((pairs, 2 * m)) @ root
+        prod = np.linalg.norm(w[:, :m], axis=1) * np.linalg.norm(w[:, m:], axis=1)
+        means[i], sds[i] = np.mean(prod), np.std(prod, ddof=1)
+    denom = 2.0 * math.pi * np.sqrt(1.0 - blocks.u**2)
+    return means / denom, sds / math.sqrt(pairs) / denom
+
+
+@pytest.mark.parametrize("m, n", [(2, 15), (3, 12), (4, 9)])
+def test_kernel_matches_norm_loop(m, n):
+    blocks = cv.blocks_at(sf.SphereModel(m, n), np.linspace(0.4, math.pi - 0.4, 25))
+    values, errs = mo.kernel_K(blocks, 2000, seed=5)
+    want_values, want_errs = _norm_kernel(blocks, 2000, seed=5)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(errs, want_errs)
+
+
+def test_kernel_streams_continue_where_they_stopped():
+    blocks = cv.blocks_at(sf.SphereModel(3, 12), np.linspace(0.4, 2.6, 7))
+    streams = np.zeros((7, mo.PHILOX_WORDS), np.uint64)
+    first = mo.kernel_K(blocks, 1000, seed=2, streams=streams)
+    assert np.array_equal(first[0], mo.kernel_K(blocks, 1000, seed=2)[0])
+    second = mo.kernel_K(blocks, 3000, seed=2, streams=streams)
+    merged = mo._merge_passes(500, *first, 1500, *second)
+    fresh = mo.kernel_K(blocks, 4000, seed=2)
+    np.testing.assert_allclose(merged[0], fresh[0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(merged[1], fresh[1], rtol=1e-12, atol=0)
+
+
 def test_kernel_deterministic():
     blocks = cv.blocks_at(sf.SphereModel(2, 9), 1.1)
     assert mo.kernel_K(blocks, 5000, seed=4) == mo.kernel_K(blocks, 5000, seed=4)
@@ -244,15 +286,41 @@ def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys):
     monkeypatch.setattr(mo, "kernel_K", counted_kernel)
     rep = mo.volume_second_moment(sf.SphereModel(2, 10), mo.QuadratureSpec(relative_tolerance=1e-3),
                                   mc_paths=20000, seed=3)
-    # one kernel_K call per Monte Carlo pass, each pass doubling the paths
-    assert calls == [20000 * 2**k for k in range(len(calls))]
-    assert calls[-1] == rep.mc_paths
+    # one kernel_K call per Monte Carlo pass; a doubled pass draws only the new paths
+    assert calls == [20000] + [20000 * 2**k for k in range(len(calls) - 1)]
+    assert sum(calls) == rep.mc_paths
     mo.sigma_scaling_report(sf.SphereModel(2, 10))
     passes = len(calls)
     assert cli.main(["kernel-profile", "--n", "8,9", "--theta-points", "5",
                      "--mc-paths", "400"]) == 0
     assert len(calls) == passes + 2  # one per degree
     assert capsys.readouterr().out.count("\n") == 2 + 10
+
+
+def test_doubled_volume_pass_continues_node_streams(monkeypatch):
+    quad = mo.QuadratureSpec(relative_tolerance=1e-3)
+    model = sf.SphereModel(2, 10)
+    fresh = mo.volume_second_moment(model, quad, mc_paths=4000, seed=3)
+    pairs = []
+    kernel = mo.kernel_K
+
+    def counted_kernel(blocks, mc_paths, seed, **kwargs):
+        pairs.append(mc_paths // 2)
+        return kernel(blocks, mc_paths, seed, **kwargs)
+
+    monkeypatch.setattr(mo, "kernel_K", counted_kernel)
+    doubled = mo.volume_second_moment(model, quad, mc_paths=2000, seed=3)
+    assert doubled.mc_paths == fresh.mc_paths == 4000
+    assert pairs == [1000, 1000]  # mc_paths / 2 pairs per node in total
+    for field in ("nonsingular_contribution", "mc_std_error", "variance"):
+        assert getattr(doubled, field) == pytest.approx(getattr(fresh, field), rel=1e-12, abs=0)
+
+
+def test_leray_integrand_raises_where_q_reaches_one():
+    f = mo._leray_integrand(sf.SphereModel(2, 10))
+    with pytest.raises(RuntimeError, match="theta = 0"):
+        f(np.array([0.5, 0.0, 1.0]))
+    assert np.all(f(np.array([0.5, 1.0])) > 0)
 
 
 def test_volume_report_dict_roundtrip(volume_reports):

@@ -226,6 +226,59 @@ def test_closed_form_reductions():
 def test_moment_kind_validation():
     with pytest.raises(ValueError):
         sf.moment_integral(sf.SphereModel(2, 3), "Q3")
+    with pytest.raises(ValueError):
+        sf.moment_integral(sf.SphereModel(2, 3), ("Q2", "Q3"))
+
+
+def _single_kind_moment(model, kind):
+    # one kind at a time, with its own recurrence per level and its own
+    # doubling loop: the reference the shared levels must reproduce
+    m = model.m
+    wm = sf.mu_weight_constant(m)
+
+    def integrand(thetas):
+        t = np.cos(thetas)
+        q, dq, d2q = sf.gegenbauer_eval_arrays(model, t)
+        g = {"Q2": q**2, "Q4": q**4, "DQ2": dq**2, "DQ4_weighted": dq**4 * (1.0 - t * t) ** 2,
+             "D2Q2_weighted": d2q**2 * (1.0 - t * t) ** 2}[kind]
+        return wm * g * np.sin(thetas) ** (m - 1)
+
+    panels = max(8, 8 * model.n)
+    nodes, weights = sf._panel_nodes(0.0, math.pi, panels)
+    val = float(np.dot(weights, integrand(nodes)))
+    for _ in range(8):
+        panels *= 2
+        nodes, weights = sf._panel_nodes(0.0, math.pi, panels)
+        new = float(np.dot(weights, integrand(nodes)))
+        if abs(new - val) <= 1e-10 * max(1.0, abs(new)):
+            return new
+        val = new
+    raise AssertionError("reference quadrature did not converge")
+
+
+@pytest.mark.parametrize("n", [10, 80])
+def test_shared_moment_levels_match_single_kind_loop(n):
+    model = sf.SphereModel(2, n)
+    together = sf.moment_integral(model, sf.MOMENT_KINDS)
+    assert together == tuple(_single_kind_moment(model, kind) for kind in sf.MOMENT_KINDS)
+    assert together == tuple(sf.moment_integral(model, kind) for kind in sf.MOMENT_KINDS)
+
+
+def test_moments_table_runs_two_recurrences_per_row(monkeypatch, capsys):
+    from sphnodal import cli
+
+    calls = []
+    q_pair = sf._q_pair
+
+    def counted(model, t):
+        calls.append(model.n)
+        return q_pair(model, t)
+
+    monkeypatch.setattr(sf, "_q_pair", counted)
+    assert cli.main(["moments-table", "--m", "2", "--n", "10,40"]) == 0
+    # Q2, Q4 and DQ2 share the 8n- and 16n-panel levels of each row
+    assert calls == [10, 10, 40, 40]
+    capsys.readouterr()
 
 
 def test_second_moment_scaling():
@@ -302,3 +355,7 @@ def test_unconverged_quadrature_raises():
     with pytest.raises(RuntimeError, match="did not converge"):
         sf._integrate_theta(step, 0.0, math.pi, 3, rtol=1e-15)
     assert sf._integrate_theta(np.sin, 0.0, math.pi, 3) == pytest.approx(2.0, rel=1e-12)
+    # a NaN change is not convergence
+    with pytest.raises(RuntimeError, match="did not converge"):
+        sf._integrate_theta(lambda th: np.full_like(th, np.nan), 0.0, math.pi, 3)
+
