@@ -209,8 +209,12 @@ def eval_gradient_ambient_many(sample: HarmonicSample, points: np.ndarray) -> np
     coef = sample.scale * np.tensordot(sample.a, _ladder(n), axes=(0, 0)).T  # (3, 2n-1)
     for start in range(0, points.shape[0], _BLOCK):
         x = points[start:start + _BLOCK]
-        g = (coef @ _basis_block(n - 1, x)).T
-        grads[start:start + _BLOCK] = g - np.sum(g * x, axis=1)[:, None] * x
+        g = coef @ _basis_block(n - 1, x)  # (3, block): one contiguous row per component
+        # g.x summed column by column in index order, as np.sum(g * x, axis=1)
+        gx = g[0] * x[:, 0] + g[1] * x[:, 1] + g[2] * x[:, 2]
+        out = grads[start:start + _BLOCK]
+        for c in range(3):
+            out[:, c] = g[c] - gx * x[:, c]
     return grads
 
 

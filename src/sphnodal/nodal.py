@@ -110,18 +110,22 @@ def _vertex_values(sample: ensemble.HarmonicSample, mesh: IcoMesh,
                    values: np.ndarray | None) -> np.ndarray:
     if values is None:
         values = ensemble.eval_many(sample, mesh.vertices)
-    vals = np.array(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     # exact zeros at vertices would make crossings ambiguous; replace the
-    # value by a re-evaluation a tiny step along the vertex's first edge
+    # value by a re-evaluation a tiny step along the vertex's first edge:
+    # towards the first other vertex, in column order, of the first triangle
+    # that holds it
     zero = np.abs(vals) < ZERO_VERTEX_TOL
     if np.any(zero):
         idx = np.nonzero(zero)[0]
-        neighbor = np.empty(idx.size, dtype=np.int64)
-        for j, vi in enumerate(idx):
-            tri = mesh.triangles[np.any(mesh.triangles == vi, axis=1)][0]
-            neighbor[j] = tri[tri != vi][0]
+        flat = mesh.triangles.reshape(-1)
+        hits = np.flatnonzero(zero[flat])
+        _, first = np.unique(flat[hits], return_index=True)  # sorted like idx
+        first = hits[first]
+        neighbor = flat[first - first % 3 + (first % 3 == 0)]
         p = mesh.vertices[idx] + VERTEX_NUDGE * (mesh.vertices[neighbor] - mesh.vertices[idx])
         p /= np.linalg.norm(p, axis=1)[:, None]
+        vals = vals.copy()  # ``values`` may be the caller's array
         vals[idx] = ensemble.eval_many(sample, p)
     return vals
 
@@ -152,46 +156,58 @@ def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
         _warn_if_under_resolved(mesh, sample.basis.n)
     vals = _vertex_values(sample, mesh, values)
 
+    # component form throughout: a 3-vector is a list of its x, y and z
+    # arrays, and every sum over components runs in index order, the order
+    # of the reduction inside np.linalg.norm, so the bits match the
+    # row-wise norm and dot-product forms
     tri = mesh.triangles
-    f = vals[tri]                       # (T, 3)
-    pos = f > 0.0
-    npos = pos.sum(axis=1)
-    crossed = (npos == 1) | (npos == 2)
-    if not np.any(crossed):
+    s0, s1, s2 = (vals[tri[:, c]] > 0.0 for c in range(3))
+    crossed = np.flatnonzero((s0 != s1) | (s0 != s2))
+    if crossed.size == 0:
         return NodalSet(segments=np.empty((0, 2, 3)), total_length=0.0,
                         gradient_norms=np.empty(0))
 
-    ft = f[crossed]
-    vt = mesh.vertices[tri[crossed]]    # (C, 3, 3)
-    # orient so vertex 0 is the odd one out; then both crossings sit on the
-    # edges (0,1) and (0,2)
-    odd = np.where(npos[crossed] == 1, pos[crossed].argmax(axis=1),
-                   (~pos[crossed]).argmax(axis=1))
-    rows = np.arange(ft.shape[0])
-    order = np.stack([odd, (odd + 1) % 3, (odd + 2) % 3], axis=1)
-    ft = ft[rows[:, None], order]
-    vt = vt[rows[:, None], order]
+    # rotate each crossed triangle so that its odd vertex (the one whose
+    # sign differs) comes first; both crossings then sit on the edges
+    # (odd, odd+1) and (odd, odd+2)
+    s0, s1, s2 = s0[crossed], s1[crossed], s2[crossed]
+    odd = np.where(s1 == s2, 0, np.where(s0 == s2, 1, 2))
+    flat = tri.reshape(-1)
+    i0, i1, i2 = (flat[3 * crossed + (odd + k) % 3] for k in range(3))
+    f0, f1, f2 = vals[i0], vals[i1], vals[i2]
+    w01 = f0 / (f0 - f1)
+    w02 = f0 / (f0 - f2)
 
-    w01 = ft[:, 0] / (ft[:, 0] - ft[:, 1])
-    w02 = ft[:, 0] / (ft[:, 0] - ft[:, 2])
-    p1 = vt[:, 0] + w01[:, None] * (vt[:, 1] - vt[:, 0])
-    p2 = vt[:, 0] + w02[:, None] * (vt[:, 2] - vt[:, 0])
-    p1 /= np.linalg.norm(p1, axis=1)[:, None]
-    p2 /= np.linalg.norm(p2, axis=1)[:, None]
+    verts = mesh.vertices
+    p1, p2 = [], []
+    for c in range(3):
+        x0 = verts[i0, c]
+        p1.append(x0 + w01 * (verts[i1, c] - x0))
+        p2.append(x0 + w02 * (verts[i2, c] - x0))
+    p1, p2 = _unit(p1), _unit(p2)
 
-    lengths = np.arccos(np.clip(np.sum(p1 * p2, axis=1), -1.0, 1.0))
-    mids = p1 + p2
-    mids /= np.linalg.norm(mids, axis=1)[:, None]
-    grads = ensemble.eval_gradient_ambient_many(sample, mids)
-    gnorms = np.linalg.norm(grads, axis=1)
-
-    segments = np.stack([p1, p2], axis=1)
+    lengths = np.arccos(np.clip(_dot3(p1, p2), -1.0, 1.0))
+    mids = np.stack(_unit([a + b for a, b in zip(p1, p2)]), axis=1)
+    grads = ensemble.eval_gradient_ambient_many(sample, mids).T
+    segments = np.stack(p1 + p2, axis=1).reshape(-1, 2, 3)
     return NodalSet(segments=segments, total_length=float(lengths.sum()),
-                    gradient_norms=gnorms)
+                    gradient_norms=np.sqrt(_dot3(grads, grads)))
+
+
+def _dot3(a, b) -> np.ndarray:
+    """Dot products of two 3-vectors given as x, y, z component arrays,
+    summed in index order as np.sum(a * b, axis=1) sums a row."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _unit(p: list) -> list:
+    """Component arrays of p divided by their Euclidean norm."""
+    norm = np.sqrt(_dot3(p, p))
+    return [c / norm for c in p]
 
 
 def _segment_lengths(nodal: NodalSet) -> np.ndarray:
-    dots = np.sum(nodal.segments[:, 0] * nodal.segments[:, 1], axis=1)
+    dots = _dot3(nodal.segments[:, 0].T, nodal.segments[:, 1].T)
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
 

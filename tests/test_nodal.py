@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sphnodal import ensemble as en
 from sphnodal import geometry as ge
+from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
@@ -27,6 +28,108 @@ def sample_with_values(n, seed, mesh, basis_matrix=None):
     if basis_matrix is None:
         basis_matrix = en.eval_basis_many(basis, mesh.vertices)
     return sample, scale * (basis_matrix @ a)
+
+
+# Oracles: the row-wise forms of the extractor, the nudge lookup and the
+# tangent projection that the component-form code replaced.  The production
+# code must reproduce them bit for bit.
+
+def _rowwise_vertex_values(sample, mesh, values):
+    vals = np.array(values, dtype=float)
+    zero = np.abs(vals) < nd.ZERO_VERTEX_TOL
+    if np.any(zero):
+        idx = np.nonzero(zero)[0]
+        neighbor = np.empty(idx.size, dtype=np.int64)
+        for j, vi in enumerate(idx):
+            tri = mesh.triangles[np.any(mesh.triangles == vi, axis=1)][0]
+            neighbor[j] = tri[tri != vi][0]
+        p = mesh.vertices[idx] + nd.VERTEX_NUDGE * (mesh.vertices[neighbor] - mesh.vertices[idx])
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        vals[idx] = en.eval_many(sample, p)
+    return vals
+
+
+def _rowwise_gradients(sample, points):
+    n = sample.basis.n
+    coef = sample.scale * np.tensordot(sample.a, en._ladder(n), axes=(0, 0)).T
+    grads = np.zeros_like(points)
+    for start in range(0, points.shape[0], en._BLOCK):
+        x = points[start:start + en._BLOCK]
+        g = (coef @ en._basis_block(n - 1, x)).T
+        grads[start:start + en._BLOCK] = g - np.sum(g * x, axis=1)[:, None] * x
+    return grads
+
+
+def _rowwise_extract(sample, mesh, values):
+    vals = _rowwise_vertex_values(sample, mesh, values)
+    tri = mesh.triangles
+    f = vals[tri]
+    pos = f > 0.0
+    npos = pos.sum(axis=1)
+    crossed = (npos == 1) | (npos == 2)
+    if not np.any(crossed):
+        return nd.NodalSet(segments=np.empty((0, 2, 3)), total_length=0.0,
+                           gradient_norms=np.empty(0))
+    ft = f[crossed]
+    vt = mesh.vertices[tri[crossed]]
+    odd = np.where(npos[crossed] == 1, pos[crossed].argmax(axis=1),
+                   (~pos[crossed]).argmax(axis=1))
+    rows = np.arange(ft.shape[0])
+    order = np.stack([odd, (odd + 1) % 3, (odd + 2) % 3], axis=1)
+    ft = ft[rows[:, None], order]
+    vt = vt[rows[:, None], order]
+    w01 = ft[:, 0] / (ft[:, 0] - ft[:, 1])
+    w02 = ft[:, 0] / (ft[:, 0] - ft[:, 2])
+    p1 = vt[:, 0] + w01[:, None] * (vt[:, 1] - vt[:, 0])
+    p2 = vt[:, 0] + w02[:, None] * (vt[:, 2] - vt[:, 0])
+    p1 /= np.linalg.norm(p1, axis=1)[:, None]
+    p2 /= np.linalg.norm(p2, axis=1)[:, None]
+    lengths = np.arccos(np.clip(np.sum(p1 * p2, axis=1), -1.0, 1.0))
+    mids = p1 + p2
+    mids /= np.linalg.norm(mids, axis=1)[:, None]
+    gnorms = np.linalg.norm(_rowwise_gradients(sample, mids), axis=1)
+    return nd.NodalSet(segments=np.stack([p1, p2], axis=1),
+                       total_length=float(lengths.sum()), gradient_norms=gnorms)
+
+
+def _rowwise_leray(nodal):
+    segs = nodal.segments
+    lengths = np.arccos(np.clip(np.sum(segs[:, 0] * segs[:, 1], axis=1), -1.0, 1.0))
+    return float(np.sum(lengths / nodal.gradient_norms))
+
+
+def _rowwise_report(model, mesh_level, samples, seed, mesh):
+    """The sample loop of monte_carlo_experiment, on the row-wise oracles."""
+    basis = en.HarmonicBasis(model.n)
+    scale = math.sqrt(4.0 * math.pi / basis.size)
+    basis_matrix = en.eval_basis_many(basis, mesh.vertices)
+    z_vals = np.full(samples, np.nan)
+    l_vals = np.full(samples, np.nan)
+    for idx in range(samples):
+        a = en.rng_for(seed, idx).standard_normal(basis.size)
+        smp = en.HarmonicSample(basis=basis, a=a, scale=scale)
+        nodal = _rowwise_extract(smp, mesh, scale * (basis_matrix @ a))
+        z_vals[idx] = nodal.total_length
+        if (nodal.segments.shape[0] > 0
+                and not np.any(nodal.gradient_norms < nd.MIN_MIDPOINT_GRADIENT)):
+            l_vals[idx] = _rowwise_leray(nodal)
+    lv = l_vals[~np.isnan(l_vals)]
+    return nd.ExperimentReport(
+        model=model, sample_count=samples, mesh_level=mesh_level, seed=seed,
+        mean_Z=float(z_vals.mean()), var_Z=float(z_vals.var(ddof=1)),
+        se_Z=float(z_vals.std(ddof=1) / math.sqrt(samples)),
+        mean_L=float(lv.mean()), var_L=float(lv.var(ddof=1)),
+        se_L=float(lv.std(ddof=1) / math.sqrt(lv.size)),
+        theory_EZ=mo.volume_expectation(model), theory_EL=mo.leray_expectation(model.m),
+        theory_varL=mo.leray_variance_asymptotic(model),
+        excluded=int(samples - lv.size),
+    ).as_dict()
+
+
+def assert_same_nodal(got, want):
+    assert np.array_equal(got.segments, want.segments)
+    assert got.total_length == want.total_length
+    assert np.array_equal(got.gradient_norms, want.gradient_norms)
 
 
 def test_zonal_nodal_line_is_equator(mesh_level5):
@@ -300,3 +403,65 @@ def test_nodal_csv_export(mesh_level5):
     assert len(lines) == nodal.segments.shape[0] + 1
     first = np.array([float(v) for v in lines[1].split(",")])
     assert np.allclose(first[:3], nodal.segments[0, 0])
+
+
+@pytest.mark.parametrize("level,n", [(3, 6), (5, 20), (7, 20)])
+def test_extract_nodal_matches_rowwise_oracle(level, n, request):
+    mesh = request.getfixturevalue(f"mesh_level{level}") if level >= 5 else ge.icosphere(level)
+    basis_matrix = en.eval_basis_many(en.HarmonicBasis(n), mesh.vertices)
+    for seed in range(3):
+        sample, values = sample_with_values(n, (level, seed), mesh, basis_matrix)
+        got = nd.extract_nodal(sample, mesh, values=values, check_resolution=False)
+        assert got.segments.shape[0] > 0
+        assert_same_nodal(got, _rowwise_extract(sample, mesh, values))
+        assert nd.leray_estimate_line(sample, got) == _rowwise_leray(got)
+
+
+def test_extract_nodal_matches_rowwise_oracle_at_edge_cases(mesh_level5):
+    # no crossing: a positive constant
+    constant = en.HarmonicSample(basis=en.HarmonicBasis(0), a=np.array([2.0]), scale=1.0)
+    ones = np.ones(mesh_level5.vertices.shape[0])
+    assert_same_nodal(nd.extract_nodal(constant, mesh_level5, values=ones),
+                      _rowwise_extract(constant, mesh_level5, ones))
+    # exact zero vertex values take the nudge path
+    sample, values = sample_with_values(11, 4, mesh_level5)
+    values[[3, 400, 9000]] = 0.0
+    assert_same_nodal(nd.extract_nodal(sample, mesh_level5, values=values),
+                      _rowwise_extract(sample, mesh_level5, values))
+    # f = x (up to scale) vanishes on the meridian through both poles, which
+    # are mesh vertices: the poles are nudged and midpoints crowd them
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    x_sample = en.HarmonicSample(basis=en.HarmonicBasis(1), a=np.array([0.0, 0.0, 1.0]),
+                                 scale=math.sqrt(4 * math.pi / 3))
+    x_values = en.eval_many(x_sample, mesh_level5.vertices)
+    pole_rows = np.flatnonzero(np.all(mesh_level5.vertices[:, None] == poles, axis=2).any(axis=1))
+    assert pole_rows.size == 2 and np.all(np.abs(x_values[pole_rows]) < nd.ZERO_VERTEX_TOL)
+    got = nd.extract_nodal(x_sample, mesh_level5, values=x_values)
+    assert_same_nodal(got, _rowwise_extract(x_sample, mesh_level5, x_values))
+    mids = got.segments.sum(axis=1)
+    mids /= np.linalg.norm(mids, axis=1)[:, None]
+    assert np.max(np.abs(mids[:, 2])) > 0.999
+    # midpoints exactly at both poles
+    sample20, _ = sample_with_values(20, 6, mesh_level5)
+    points = np.vstack([poles, mids])
+    assert np.array_equal(en.eval_gradient_ambient_many(sample20, points),
+                          _rowwise_gradients(sample20, points))
+
+
+def test_zero_vertex_nudge_matches_loop(mesh_level5):
+    # the vertices of the first triangle sit in columns 0, 1 and 2 of their
+    # first triangle, so each branch of the neighbour choice is taken
+    sample, values = sample_with_values(9, 12, mesh_level5)
+    zeros = np.append(mesh_level5.triangles[0], mesh_level5.vertices.shape[0] - 1)
+    values[zeros] = 0.0
+    got = nd._vertex_values(sample, mesh_level5, values)
+    assert np.array_equal(got, _rowwise_vertex_values(sample, mesh_level5, values))
+    assert np.all(got[zeros] != 0.0)
+    assert np.all(values[zeros] == 0.0)  # the caller's array is not modified
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_report_matches_rowwise_loop(mesh_level5, workers):
+    model = sf.SphereModel(2, 20)
+    got = nd.monte_carlo_experiment(model, 5, 60, seed=9, mesh=mesh_level5, workers=workers)
+    assert got.as_dict() == _rowwise_report(model, 5, 60, 9, mesh_level5)
