@@ -35,7 +35,6 @@ class RunConfig:
     mc_paths: int = 20000
     eps0: float = 0.9
     theta_points: int = 50
-    workers: int | None = None
     output_path: str | None = None
     format: str = "csv"
 
@@ -73,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path", default=None,
                        help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: SPHNODAL_WORKERS or 1)")
 
     p = sub.add_parser("moments-table", help="moment integrals of Q_n and derivatives")
     common(p)
@@ -109,7 +106,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raise SystemExit(f"error: unknown config key {key!r}")
             setattr(cfg, key, value)
     for key in ("m", "n", "mesh_level", "samples", "seed", "mc_paths", "eps0",
-                "theta_points", "workers", "output_path", "format"):
+                "theta_points", "output_path", "format"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -121,8 +118,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise SystemExit("error: eps0 must lie in (0, 1)")
     if cfg.theta_points < 1:
         raise SystemExit("error: theta_points must be >= 1")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise SystemExit("error: workers must be >= 1")
     return cfg
 
 
@@ -184,8 +179,7 @@ def _cmd_mc_verify(cfg: RunConfig):
     rows = []
     for n in cfg.n:
         model = specfun.SphereModel(cfg.m, n)
-        rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples,
-                                           cfg.seed, workers=cfg.workers)
+        rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples, cfg.seed)
         d = rep.as_dict()
         rows.append([d[c] for c in columns])
     return columns, rows, []

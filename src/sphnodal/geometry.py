@@ -210,6 +210,35 @@ def _unit_rows(p: np.ndarray) -> np.ndarray:
     return p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
 
 
+def _edge_midpoints(faces: np.ndarray, nverts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex numbers of each face's ab, bc and ca midpoints, shape (T, 3),
+    and the two end points of each new midpoint's edge.
+
+    Directed edges ab, bc, ca are listed face by face; each new midpoint is
+    numbered from ``nverts`` by its edge's first appearance in this list.
+    """
+    tail = faces.reshape(-1)
+    head = np.roll(faces, -1, axis=1).reshape(-1)
+    key = np.minimum(tail, head) * nverts + np.maximum(tail, head)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    new = first[order]
+    return nverts + rank[inverse].reshape(-1, 3), tail[new], head[new]
+
+
+def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One level: every face split into four at its edge midpoints.  The
+    edge bookkeeping is freed before the new arrays are built, and the rest
+    on return."""
+    mids, ends0, ends1 = _edge_midpoints(faces, vertices.shape[0])
+    vertices = np.vstack([vertices, _unit_rows(vertices[ends0] + vertices[ends1])])
+    a, b, c = faces.T
+    ab, bc, ca = mids.T
+    return vertices, np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+
+
 def icosphere(subdivisions: int) -> IcoMesh:
     """Icosahedron subdivided ``subdivisions`` times, vertices on the unit
     sphere.  Triangle count is 20 * 4^subdivisions; levels above 9 are
@@ -223,29 +252,18 @@ def icosphere(subdivisions: int) -> IcoMesh:
     faces = _ICO_FACES.copy()
 
     for _ in range(subdivisions):
-        # directed edges ab, bc, ca face by face; each new midpoint vertex is
-        # numbered by its edge's first appearance in this list
-        tail = faces.reshape(-1)
-        head = np.roll(faces, -1, axis=1).reshape(-1)
-        key = np.minimum(tail, head) * vertices.shape[0] + np.maximum(tail, head)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        new = first[order]
-        mids = vertices.shape[0] + rank[inverse].reshape(-1, 3)
-        vertices = np.vstack([vertices, _unit_rows(vertices[tail[new]] + vertices[head[new]])])
-        a, b, c = faces.T
-        ab, bc, ca = mids.T
-        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        vertices, faces = _subdivide(vertices, faces)
 
-    v0 = vertices[faces[:, 0]]
-    v1 = vertices[faces[:, 1]]
-    v2 = vertices[faces[:, 2]]
-    dots = np.concatenate([
-        np.sum(v0 * v1, axis=1), np.sum(v1 * v2, axis=1), np.sum(v2 * v0, axis=1),
-    ])
-    edge_max = float(np.max(np.arccos(np.clip(dots, -1.0, 1.0))))
+    # the longest edge has the smallest end-point dot product; each dot is
+    # summed x, y, z in index order, as np.sum(a * b, axis=1) sums a row
+    min_dot = math.inf
+    for tail, head in ((0, 1), (1, 2), (2, 0)):
+        i, j = faces[:, tail], faces[:, head]
+        dots = vertices[i, 0] * vertices[j, 0]
+        dots += vertices[i, 1] * vertices[j, 1]
+        dots += vertices[i, 2] * vertices[j, 2]
+        min_dot = min(min_dot, float(dots.min()))
+    edge_max = float(np.arccos(np.clip(min_dot, -1.0, 1.0)))
     return IcoMesh(vertices=vertices, triangles=faces, edge_length_max=edge_max)
 
 

@@ -9,15 +9,13 @@ an independent sublevel-area estimator for the Leray measure comes from
 the exact band area of the per-triangle linear interpolant, extrapolated
 in epsilon^2.
 
-Sample-level Monte Carlo experiments accumulate everything through
-commutative (count, sum, sum of squares) merges, so results do not depend
-on evaluation order and replay exactly from the seed.
+Monte Carlo experiments key each draw's coefficients by (seed, sample
+index), so results replay exactly from the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +50,8 @@ class NodalSet:
     """Zero-set polyline of one sample on one mesh."""
 
     segments: np.ndarray        # (S, 2, 3) unit endpoints
-    total_length: float         # sum of great-circle segment lengths
+    lengths: np.ndarray         # (S,) great-circle length of each segment
+    total_length: float         # sum of ``lengths``
     gradient_norms: np.ndarray  # (S,) |grad f| at segment midpoints
 
 
@@ -147,10 +146,11 @@ def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     """March the triangles of ``mesh`` and collect the zero-crossing
     segments of ``sample``.
 
-    ``values`` may carry precomputed vertex values (one evaluation of the
-    basis matrix serves every sample on a fixed mesh).  Warns when the mesh
-    is coarser than pi/(8n) per edge, unless ``check_resolution`` is false
-    (a caller looping over samples on one mesh checks once instead).
+    ``values`` may carry precomputed vertex values (a caller drawing many
+    samples on one mesh evaluates the basis there once for all of them).
+    Warns when the mesh is coarser than pi/(8n) per edge, unless
+    ``check_resolution`` is false (a caller looping over samples on one mesh
+    checks once instead).
     """
     if check_resolution:
         _warn_if_under_resolved(mesh, sample.basis.n)
@@ -164,8 +164,8 @@ def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     s0, s1, s2 = (vals[tri[:, c]] > 0.0 for c in range(3))
     crossed = np.flatnonzero((s0 != s1) | (s0 != s2))
     if crossed.size == 0:
-        return NodalSet(segments=np.empty((0, 2, 3)), total_length=0.0,
-                        gradient_norms=np.empty(0))
+        return NodalSet(segments=np.empty((0, 2, 3)), lengths=np.empty(0),
+                        total_length=0.0, gradient_norms=np.empty(0))
 
     # rotate each crossed triangle so that its odd vertex (the one whose
     # sign differs) comes first; both crossings then sit on the edges
@@ -190,7 +190,7 @@ def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     mids = np.stack(_unit([a + b for a, b in zip(p1, p2)]), axis=1)
     grads = ensemble.eval_gradient_ambient_many(sample, mids).T
     segments = np.stack(p1 + p2, axis=1).reshape(-1, 2, 3)
-    return NodalSet(segments=segments, total_length=float(lengths.sum()),
+    return NodalSet(segments=segments, lengths=lengths, total_length=float(lengths.sum()),
                     gradient_norms=np.sqrt(_dot3(grads, grads)))
 
 
@@ -206,11 +206,6 @@ def _unit(p: list) -> list:
     return [c / norm for c in p]
 
 
-def _segment_lengths(nodal: NodalSet) -> np.ndarray:
-    dots = _dot3(nodal.segments[:, 0].T, nodal.segments[:, 1].T)
-    return np.arccos(np.clip(dots, -1.0, 1.0))
-
-
 def leray_estimate_line(sample: ensemble.HarmonicSample, nodal: NodalSet) -> float:
     """Line-integral Leray estimate: sum of segment length / |grad f| at
     the segment midpoint.  Raises NearSingularSampleError when a midpoint
@@ -219,7 +214,7 @@ def leray_estimate_line(sample: ensemble.HarmonicSample, nodal: NodalSet) -> flo
         raise ValueError("empty nodal set")
     if np.any(nodal.gradient_norms < MIN_MIDPOINT_GRADIENT):
         raise NearSingularSampleError("vanishing gradient on the nodal set")
-    return float(np.sum(_segment_lengths(nodal) / nodal.gradient_norms))
+    return float(np.sum(nodal.lengths / nodal.gradient_norms))
 
 
 def _band_fraction(fvals: np.ndarray, level: np.ndarray | float) -> np.ndarray:
@@ -280,27 +275,17 @@ def leray_estimate_sublevel(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     return estimate
 
 
-def _worker_count(workers: int | None) -> int:
-    """``workers``, else SPHNODAL_WORKERS, else 1; a count below 1 raises."""
-    if workers is None:
-        env = os.environ.get("SPHNODAL_WORKERS", "")
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"SPHNODAL_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
-                           seed: int, workers: int | None = None,
-                           mesh: IcoMesh | None = None) -> ExperimentReport:
+                           seed: int, *, mesh: IcoMesh | None = None) -> ExperimentReport:
     """Draw ``samples`` eigenfunctions, extract nodal sets, and report the
     length and Leray statistics next to their theory values.
 
     Per-sample coefficient streams are keyed by (seed, sample index), so the
-    report is reproducible and independent of worker scheduling.  Samples
+    report replays exactly from the seed.  Vertex data never exceeds
+    V x min(samples, 2n+1) floats on a mesh of V vertices: with at most 2n+1
+    draws the basis is built one vertex block at a time and every draw's
+    values are filled block by block; with more draws the (V, 2n+1) basis
+    matrix is the smaller object and serves each draw in turn.  Samples
     whose nodal midpoints carry vanishing gradients are excluded and
     counted; a warning fires if they exceed 1% of the draws.  A mesh
     coarser than pi/(8n) per edge warns once, before any sample is drawn.
@@ -316,31 +301,34 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     _warn_if_under_resolved(mesh, model.n)
     basis = ensemble.HarmonicBasis(model.n)
     scale = math.sqrt(4.0 * math.pi / basis.size)
-    basis_matrix = ensemble.eval_basis_many(basis, mesh.vertices)
+    coefs = [ensemble.rng_for(seed, idx).standard_normal(basis.size) for idx in range(samples)]
+
+    if samples <= basis.size:
+        # slices aligned with eval_basis_many's own blocks give exactly the
+        # rows of the full basis matrix; one gemv per draw and slice gives
+        # the full mat-vec's values (to the last bit at one BLAS thread)
+        verts = mesh.vertices
+        raw = np.empty((samples, verts.shape[0]))
+        for start in range(0, verts.shape[0], ensemble._BLOCK):
+            block = ensemble.eval_basis_many(basis, verts[start:start + ensemble._BLOCK])
+            for idx, a in enumerate(coefs):
+                raw[idx, start:start + ensemble._BLOCK] = block @ a
+            del block  # freed before the next block is built
+        draw_values = (scale * row for row in raw)
+    else:
+        basis_matrix = ensemble.eval_basis_many(basis, mesh.vertices)
+        draw_values = (scale * (basis_matrix @ a) for a in coefs)
 
     z_vals = np.full(samples, np.nan)
     l_vals = np.full(samples, np.nan)
-
-    def run_one(idx: int) -> None:
-        a = ensemble.rng_for(seed, idx).standard_normal(basis.size)
+    for idx, (a, values) in enumerate(zip(coefs, draw_values)):
         smp = ensemble.HarmonicSample(basis=basis, a=a, scale=scale)
-        vertex_vals = scale * (basis_matrix @ a)
-        nodal = extract_nodal(smp, mesh, values=vertex_vals, check_resolution=False)
+        nodal = extract_nodal(smp, mesh, values=values, check_resolution=False)
         z_vals[idx] = nodal.total_length
         try:
             l_vals[idx] = leray_estimate_line(smp, nodal)
         except (NearSingularSampleError, ValueError):
             pass  # stays NaN, counted below
-
-    nworkers = _worker_count(workers)
-    if nworkers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(run_one, range(samples)))
-    else:
-        for idx in range(samples):
-            run_one(idx)
 
     good = ~np.isnan(l_vals)
     excluded = int(samples - good.sum())

@@ -170,7 +170,6 @@ def test_mc_verify_reports_under_resolution(level, expected):
     ["kernel-profile", "--n", "5", "--theta-points", "3", "--mc-paths", "1"],
     ["volume-variance", "--n", "5", "--mc-paths", "0"],
     ["covariance-check", "--n", "5", "--theta-points", "0", "--format", "json"],
-    ["mc-verify", "--n", "5", "--mesh-level", "3", "--samples", "4", "--workers", "0"],
     ["kernel-profile", "--n", "5", "--theta-points", "3", "--mc-paths", "5"],
 ])
 def test_sizes_that_leave_no_statistic_are_rejected(args):

@@ -172,6 +172,17 @@ def test_basis_rows_across_block_boundary_match_single_point():
         assert np.array_equal(vals[i], en.eval_basis(basis, pts[i]))
 
 
+def test_basis_on_aligned_slices_equals_full_matrix_rows(mesh_level6):
+    # the streamed Monte Carlo path evaluates the basis on _BLOCK-aligned
+    # vertex slices; they must give exactly the full matrix's rows
+    basis = en.HarmonicBasis(40)
+    verts = mesh_level6.vertices
+    full = en.eval_basis_many(basis, verts)
+    for start in range(0, verts.shape[0], en._BLOCK):
+        block = en.eval_basis_many(basis, verts[start:start + en._BLOCK])
+        assert np.array_equal(block, full[start:start + en._BLOCK])
+
+
 def test_gradient_pole_handling_in_second_block():
     sample = en.sample_function(en.HarmonicBasis(6), 2)
     pts = _points_past_one_block()

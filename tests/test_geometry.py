@@ -195,7 +195,14 @@ def test_icosphere_bit_identical_to_midpoint_cache(level):
     verts, faces = _icosphere_by_midpoint_cache(level)
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.triangles, faces)
-    v = verts[faces]
+
+
+@pytest.mark.parametrize("level", range(8))
+def test_edge_length_max_matches_rowwise_formula(level):
+    # the component-form minimum dot, then one arccos, against the arccos of
+    # every row-wise edge dot
+    mesh = ge.icosphere(level)
+    v = mesh.vertices[mesh.triangles]
     dots = np.concatenate([np.sum(v[:, i] * v[:, (i + 1) % 3], axis=1) for i in range(3)])
     assert mesh.edge_length_max == float(np.max(np.arccos(np.clip(dots, -1.0, 1.0))))
 

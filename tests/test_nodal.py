@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,8 +69,8 @@ def _rowwise_extract(sample, mesh, values):
     npos = pos.sum(axis=1)
     crossed = (npos == 1) | (npos == 2)
     if not np.any(crossed):
-        return nd.NodalSet(segments=np.empty((0, 2, 3)), total_length=0.0,
-                           gradient_norms=np.empty(0))
+        return nd.NodalSet(segments=np.empty((0, 2, 3)), lengths=np.empty(0),
+                           total_length=0.0, gradient_norms=np.empty(0))
     ft = f[crossed]
     vt = mesh.vertices[tri[crossed]]
     odd = np.where(npos[crossed] == 1, pos[crossed].argmax(axis=1),
@@ -88,7 +89,7 @@ def _rowwise_extract(sample, mesh, values):
     mids = p1 + p2
     mids /= np.linalg.norm(mids, axis=1)[:, None]
     gnorms = np.linalg.norm(_rowwise_gradients(sample, mids), axis=1)
-    return nd.NodalSet(segments=np.stack([p1, p2], axis=1),
+    return nd.NodalSet(segments=np.stack([p1, p2], axis=1), lengths=lengths,
                        total_length=float(lengths.sum()), gradient_norms=gnorms)
 
 
@@ -128,6 +129,7 @@ def _rowwise_report(model, mesh_level, samples, seed, mesh):
 
 def assert_same_nodal(got, want):
     assert np.array_equal(got.segments, want.segments)
+    assert np.array_equal(got.lengths, want.lengths)
     assert got.total_length == want.total_length
     assert np.array_equal(got.gradient_norms, want.gradient_norms)
 
@@ -334,13 +336,14 @@ def test_near_singular_detection():
     basis = en.HarmonicBasis(2)
     sample = en.sample_function(basis, 1)
     segments = np.array([[[1.0, 0, 0], [0, 1.0, 0]]])
-    fake = nd.NodalSet(segments=segments, total_length=math.pi / 2,
-                       gradient_norms=np.array([1e-12]))
+    fake = nd.NodalSet(segments=segments, lengths=np.array([math.pi / 2]),
+                       total_length=math.pi / 2, gradient_norms=np.array([1e-12]))
     with pytest.raises(nd.NearSingularSampleError):
         nd.leray_estimate_line(sample, fake)
     with pytest.raises(ValueError):
         nd.leray_estimate_line(sample, nd.NodalSet(
-            segments=np.empty((0, 2, 3)), total_length=0.0, gradient_norms=np.empty(0)))
+            segments=np.empty((0, 2, 3)), lengths=np.empty(0), total_length=0.0,
+            gradient_norms=np.empty(0)))
 
 
 def test_coarse_mesh_warns():
@@ -351,13 +354,11 @@ def test_coarse_mesh_warns():
             nd.extract_nodal(sample, ge.icosphere(3))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_monte_carlo_experiment_warns_once_when_under_resolved(workers):
+def test_monte_carlo_experiment_warns_once_when_under_resolved():
     # level 4 has edges up to 0.083 rad, above pi/(8n) = 0.079 at n = 5
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        nd.monte_carlo_experiment(sf.SphereModel(2, 5), 4, samples=6, seed=1,
-                                  workers=workers)
+        nd.monte_carlo_experiment(sf.SphereModel(2, 5), 4, samples=6, seed=1)
     under_resolved = [w for w in caught if "under-resolved" in str(w.message)]
     assert len(under_resolved) == 1
 
@@ -373,20 +374,13 @@ def test_monte_carlo_experiment_report(mesh_level5):
     assert d["excluded"] == 0
 
 
-def test_monte_carlo_deterministic_and_scheduling_invariant(mesh_level5):
+@pytest.mark.parametrize("samples", [8, 40])
+def test_monte_carlo_replays_from_seed(mesh_level5, samples):
+    # 8 draws take the streamed path and 40 the basis matrix (21 columns)
     model = sf.SphereModel(2, 10)
-    seq = nd.monte_carlo_experiment(model, 5, samples=40, seed=9, mesh=mesh_level5, workers=1)
-    par = nd.monte_carlo_experiment(model, 5, samples=40, seed=9, mesh=mesh_level5, workers=4)
-    assert seq.as_dict() == par.as_dict()
-
-
-@pytest.mark.parametrize("env", ["abc", "0", "-2"])
-def test_worker_count_rejects_bad_environment_value(monkeypatch, env):
-    monkeypatch.setenv("SPHNODAL_WORKERS", env)
-    with pytest.raises(ValueError, match="SPHNODAL_WORKERS|worker count"):
-        nd._worker_count(None)
-    monkeypatch.setenv("SPHNODAL_WORKERS", "3")
-    assert nd._worker_count(None) == 3
+    first = nd.monte_carlo_experiment(model, 5, samples=samples, seed=9, mesh=mesh_level5)
+    again = nd.monte_carlo_experiment(model, 5, samples=samples, seed=9, mesh=mesh_level5)
+    assert first.as_dict() == again.as_dict()
 
 
 def test_monte_carlo_rejects_higher_dimensions():
@@ -460,8 +454,56 @@ def test_zero_vertex_nudge_matches_loop(mesh_level5):
     assert np.all(values[zeros] == 0.0)  # the caller's array is not modified
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_monte_carlo_report_matches_rowwise_loop(mesh_level5, workers):
+def test_monte_carlo_report_matches_rowwise_loop(mesh_level5):
+    # 60 draws against 41 basis columns: the basis-matrix path
     model = sf.SphereModel(2, 20)
-    got = nd.monte_carlo_experiment(model, 5, 60, seed=9, mesh=mesh_level5, workers=workers)
+    got = nd.monte_carlo_experiment(model, 5, 60, seed=9, mesh=mesh_level5)
     assert got.as_dict() == _rowwise_report(model, 5, 60, 9, mesh_level5)
+
+
+@pytest.mark.parametrize("n,samples", [(10, 20), (40, 5)])
+def test_streamed_report_matches_rowwise_loop(mesh_level6, n, samples):
+    # at most 2n+1 draws: the basis is built one vertex block at a time
+    # (three blocks at level 6) and each draw's values are filled one gemv
+    # per block.  With one BLAS thread those values equal the full mat-vec's
+    # bit for bit.  With more, OpenBLAS splits a gemv's rows between threads
+    # at other rows for a block than for the whole matrix, and a row that
+    # ends a thread's share is summed by its tail kernel in another order
+    # (1e-16 relative, a few rows per draw), so the report is compared to
+    # 1e-12 relative
+    assert samples <= 2 * n + 1 and mesh_level6.vertices.shape[0] > 2 * en._BLOCK
+    model = sf.SphereModel(2, n)
+    got = nd.monte_carlo_experiment(model, 6, samples, seed=3, mesh=mesh_level6).as_dict()
+    want = _rowwise_report(model, 6, samples, 3, mesh_level6)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("samples,expected_rows", [
+    (11, [en._BLOCK, en._BLOCK, 40962 - 2 * en._BLOCK]),  # 2n+1 draws: streamed
+    (12, [40962]),                                        # one more: basis matrix
+], ids=["streamed", "basis-matrix"])
+def test_basis_path_follows_draw_count(monkeypatch, mesh_level6, samples, expected_rows):
+    rows = []
+    evaluate = en.eval_basis_many
+
+    def recording(basis, points):
+        rows.append(points.shape[0])
+        return evaluate(basis, points)
+
+    monkeypatch.setattr(en, "eval_basis_many", recording)
+    nd.monte_carlo_experiment(sf.SphereModel(2, 5), 6, samples, seed=2, mesh=mesh_level6)
+    assert rows == expected_rows
+
+
+def test_streamed_experiment_never_holds_the_basis_matrix(mesh_level7):
+    # 5 draws against 81 columns at level 7: the (V, 81) basis matrix would
+    # take 106 MB; streamed, the vertex data is 5 rows of V plus one block
+    model = sf.SphereModel(2, 40)
+    basis_bytes = 8 * mesh_level7.vertices.shape[0] * (2 * model.n + 1)
+    tracemalloc.start()
+    try:
+        nd.monte_carlo_experiment(model, 7, 5, seed=0, mesh=mesh_level7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < basis_bytes / 2
