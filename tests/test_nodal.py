@@ -354,11 +354,12 @@ def test_coarse_mesh_warns():
             nd.extract_nodal(sample, ge.icosphere(3))
 
 
-def test_monte_carlo_experiment_warns_once_when_under_resolved():
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monte_carlo_experiment_warns_once_when_under_resolved(seed):
     # level 4 has edges up to 0.083 rad, above pi/(8n) = 0.079 at n = 5
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        nd.monte_carlo_experiment(sf.SphereModel(2, 5), 4, samples=6, seed=1)
+        nd.monte_carlo_experiment(sf.SphereModel(2, 5), 4, samples=6, seed=seed)
     under_resolved = [w for w in caught if "under-resolved" in str(w.message)]
     assert len(under_resolved) == 1
 
@@ -454,11 +455,12 @@ def test_zero_vertex_nudge_matches_loop(mesh_level5):
     assert np.all(values[zeros] == 0.0)  # the caller's array is not modified
 
 
-def test_monte_carlo_report_matches_rowwise_loop(mesh_level5):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monte_carlo_report_matches_rowwise_loop(mesh_level5, seed):
     # 60 draws against 41 basis columns: the basis-matrix path
     model = sf.SphereModel(2, 20)
-    got = nd.monte_carlo_experiment(model, 5, 60, seed=9, mesh=mesh_level5)
-    assert got.as_dict() == _rowwise_report(model, 5, 60, 9, mesh_level5)
+    got = nd.monte_carlo_experiment(model, 5, 60, seed=seed, mesh=mesh_level5)
+    assert got.as_dict() == _rowwise_report(model, 5, 60, seed, mesh_level5)
 
 
 @pytest.mark.parametrize("n,samples", [(10, 20), (40, 5)])
