@@ -21,6 +21,8 @@ import numpy as np
 
 from . import covariance, moments, nodal, specfun
 
+__all__ = ["RunConfig", "main", "render"]
+
 SCHEMA_VERSION = 1
 
 
@@ -94,6 +96,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the config-file values of the keys that do not take a plain int; flags
+# are typed by the parser
+_FILE_VALUE_CHECKS = {
+    "n": ("an int or a non-empty list of ints",
+          lambda v: _is_int(v) or (isinstance(v, list) and v != [] and all(map(_is_int, v)))),
+    "eps0": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "format": ('"csv" or "json"', lambda v: v in ("csv", "json")),
+    "output_path": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
@@ -102,8 +119,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for key, value in file_values.items():
             if key == "command":
                 continue
-            if not hasattr(cfg, key):
+            if key not in vars(cfg):  # fields only, not methods such as as_dict
                 raise SystemExit(f"error: unknown config key {key!r}")
+            expected, valid = _FILE_VALUE_CHECKS.get(key, ("an int", _is_int))
+            if not valid(value):
+                raise SystemExit(f"error: config key {key!r} must be {expected}, got {value!r}")
             setattr(cfg, key, value)
     for key in ("m", "n", "mesh_level", "samples", "seed", "mc_paths", "eps0",
                 "theta_points", "output_path", "format"):

@@ -20,21 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .specfun import SphereModel, gegenbauer_q
 
 __all__ = [
     "HarmonicBasis",
     "HarmonicSample",
-    "eval_basis",
-    "sample_function",
-    "eval",
+    "eval_basis_many",
     "eval_many",
-    "eval_gradient",
-    "eval_gradient_ambient",
     "eval_gradient_ambient_many",
     "sample_gaussian_field",
-    "sample_to_csv",
     "rng_for",
 ]
 
@@ -136,22 +130,6 @@ def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def eval_basis(basis: HarmonicBasis, x: np.ndarray) -> np.ndarray:
-    """Values of the 2n+1 basis harmonics at one point."""
-    return eval_basis_many(basis, np.asarray(x, float)[None, :])[0]
-
-
-def sample_function(basis: HarmonicBasis, seed: int) -> HarmonicSample:
-    """Draw i.i.d. N(0,1) coefficients from the Philox stream of ``seed``."""
-    a = rng_for(seed).standard_normal(basis.size)
-    scale = math.sqrt(4.0 * math.pi / basis.size)
-    return HarmonicSample(basis=basis, a=a, scale=scale)
-
-
-def eval(sample: HarmonicSample, x: np.ndarray) -> float:  # noqa: A001
-    return float(eval_basis(sample.basis, x) @ sample.a) * sample.scale
-
-
 def eval_many(sample: HarmonicSample, points: np.ndarray) -> np.ndarray:
     return (eval_basis_many(sample.basis, points) @ sample.a) * sample.scale
 
@@ -216,29 +194,6 @@ def eval_gradient_ambient_many(sample: HarmonicSample, points: np.ndarray) -> np
         for c in range(3):
             out[:, c] = g[c] - gx * x[:, c]
     return grads
-
-
-def eval_gradient_ambient(sample: HarmonicSample, x: np.ndarray) -> np.ndarray:
-    return eval_gradient_ambient_many(sample, np.asarray(x, float)[None, :])[0]
-
-
-def eval_gradient(sample: HarmonicSample, x: np.ndarray,
-                  frame: geometry.TangentFrame | None = None) -> np.ndarray:
-    """Gradient coordinates in ``frame``, defaulting to the frame carried
-    to x by parallel transport from the north pole."""
-    x = np.asarray(x, float)
-    g = eval_gradient_ambient(sample, x)
-    if frame is None:
-        frame = geometry.transport_frame(x, geometry.reference_frame(2))
-    return frame.coords(g)
-
-
-def sample_to_csv(sample: HarmonicSample, mesh) -> str:
-    """Vertex values of one sample on a mesh as CSV, for external viewers."""
-    values = eval_many(sample, mesh.vertices)
-    lines = ["vertex,f"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
 
 
 def sample_gaussian_field(model: SphereModel, points: np.ndarray, seed: int) -> np.ndarray:

@@ -1,12 +1,8 @@
-"""Sphere geometry: volumes, the pushforward measure, parallel transport,
-geodesic-aligned frames, and the icosphere triangulation used for nodal
-extraction on S^2.
+"""Sphere geometry: volumes, geodesic steps, geodesic-aligned frames, and
+the icosphere triangulation used for nodal extraction on S^2.
 
 Points are unit vectors in R^{m+1} held as plain numpy arrays.  The north
-pole is the last coordinate axis; frames at other points come from parallel
-transport along the unique geodesic from the north pole, which leaves a
-single undefined point at the south pole (queries inside a 1e-9 cap around
-it are rejected).
+pole is the last coordinate axis.
 """
 
 from __future__ import annotations
@@ -16,25 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import mu_weight_constant
-
 __all__ = [
     "TangentFrame",
     "IcoMesh",
     "sphere_volume",
-    "mu_density",
     "north_pole",
-    "reference_frame",
-    "geodesic_distance",
     "sphere_exp",
-    "transport_frame",
     "aligned_frames",
     "icosphere",
-    "spherical_triangle_areas",
-    "mesh_to_text",
 ]
-
-SOUTH_POLE_CAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,67 +56,15 @@ def sphere_volume(m: int) -> float:
     )
 
 
-def mu_density(m: int, t) -> float | np.ndarray:
-    """Density of the pushforward of the uniform sphere measure under
-    x -> cos d(x, N): (2 pi^{m/2}/Gamma(m/2)) (1-t^2)^{(m-2)/2}."""
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise ValueError("t must lie in [-1, 1]")
-    val = mu_weight_constant(m) * (1.0 - t * t) ** ((m - 2) / 2.0)
-    return float(val) if val.ndim == 0 else val
-
-
 def north_pole(m: int) -> np.ndarray:
     p = np.zeros(m + 1)
     p[-1] = 1.0
     return p
 
 
-def reference_frame(m: int) -> TangentFrame:
-    """Canonical frame at the north pole: the first m coordinate axes."""
-    return TangentFrame(base=north_pole(m), vectors=np.eye(m + 1)[:m])
-
-
-def geodesic_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Great-circle distance, arccos of the clamped inner product."""
-    return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
-
-
 def sphere_exp(x: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
     """Geodesic step of length s from x in the unit tangent direction v."""
     return math.cos(s) * x + math.sin(s) * v
-
-
-def _transport_from_pole(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Parallel transport of tangent vectors at N to x along the geodesic.
-
-    The transport rotates in the plane spanned by N and the outgoing unit
-    tangent w, and fixes the orthogonal complement:
-    v -> v + <v,w> ((cos d - 1) w - sin d N).
-    """
-    m = x.size - 1
-    pole = north_pole(m)
-    c = float(np.clip(np.dot(x, pole), -1.0, 1.0))
-    d = math.acos(c)
-    if d < 1e-15:
-        return vectors.copy()
-    w = (x - c * pole) / math.sin(d)
-    comp = vectors @ w
-    return vectors + np.outer(comp, (math.cos(d) - 1.0) * w - math.sin(d) * pole)
-
-
-def transport_frame(x: np.ndarray, reference: TangentFrame) -> TangentFrame:
-    """Frame at x by parallel transport of the north-pole frame.
-
-    Undefined at the south pole; points within the exclusion cap raise.
-    """
-    m = x.size - 1
-    pole = north_pole(m)
-    if not np.allclose(reference.base, pole, atol=1e-12):
-        raise ValueError("reference frame must sit at the north pole")
-    if geodesic_distance(x, -pole) < SOUTH_POLE_CAP:
-        raise ValueError("parallel transport is undefined at the south pole")
-    return TangentFrame(base=np.asarray(x, dtype=float), vectors=_transport_from_pole(x, reference.vectors))
 
 
 def _complement_basis(x: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -265,21 +199,3 @@ def icosphere(subdivisions: int) -> IcoMesh:
         min_dot = min(min_dot, float(dots.min()))
     edge_max = float(np.arccos(np.clip(min_dot, -1.0, 1.0)))
     return IcoMesh(vertices=vertices, triangles=faces, edge_length_max=edge_max)
-
-
-def spherical_triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Solid angle of each spherical triangle (van Oosterom-Strackee)."""
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    num = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
-    den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
-    return 2.0 * np.arctan2(num, den)
-
-
-def mesh_to_text(mesh: IcoMesh) -> str:
-    """Plain-text dump: one 'v x y z' line per vertex, one 't i j k' line
-    per triangle.  Debug format for external viewers."""
-    lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in mesh.vertices]
-    lines += [f"t {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
-    return "\n".join(lines) + "\n"

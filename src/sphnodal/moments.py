@@ -37,8 +37,6 @@ __all__ = [
     "leray_variance",
     "leray_variance_asymptotic",
     "volume_second_moment",
-    "sigma_scaling_report",
-    "singular_interval_mass",
 ]
 
 
@@ -265,10 +263,6 @@ def _leray_integrand(model: SphereModel):
     return f
 
 
-def _integrate(f, a, b, panels, rtol):
-    return specfun._integrate_theta(f, a, b, panels, rtol=rtol)
-
-
 def leray_second_moment(model: SphereModel, quad: QuadratureSpec | None = None) -> float:
     """(|S^m| / 2 pi) * integral of dmu / sqrt(1 - Q^2) over [-1, 1].
 
@@ -283,13 +277,14 @@ def leray_second_moment(model: SphereModel, quad: QuadratureSpec | None = None) 
     f = _leray_integrand(model)
     rtol = quad.relative_tolerance
     if n < 2:
-        total = _integrate(f, 0.0, math.pi, max(16, quad.panels_per_oscillation), rtol)
+        total = specfun._integrate_theta(f, 0.0, math.pi, max(16, quad.panels_per_oscillation),
+                                         rtol=rtol)
     else:
         theta_c = _split_theta(model, quad.singular_split_eps0)
         panels = max(8, quad.panels_per_oscillation * n)
-        bulk = _integrate(f, theta_c, math.pi - theta_c, panels, rtol)
-        tip_lo = _integrate(f, 0.0, theta_c, 16, rtol)
-        tip_hi = _integrate(f, math.pi - theta_c, math.pi, 16, rtol)
+        bulk = specfun._integrate_theta(f, theta_c, math.pi - theta_c, panels, rtol=rtol)
+        tip_lo = specfun._integrate_theta(f, 0.0, theta_c, 16, rtol=rtol)
+        tip_hi = specfun._integrate_theta(f, math.pi - theta_c, math.pi, 16, rtol=rtol)
         total = bulk + tip_lo + tip_hi
     return sphere_volume(m) / (2.0 * math.pi) * total
 
@@ -315,15 +310,6 @@ def leray_variance_asymptotic(model: SphereModel) -> float:
         / math.factorial(m - 1)
     )
     return const / model.N
-
-
-def singular_interval_mass(model: SphereModel, eps0: float = 0.9) -> float:
-    """mu measure of the complement of the nonsingular interval."""
-    theta_c = _split_theta(model, eps0)
-    f = lambda th: _mu_theta_weight(model.m, th)
-    lo = _integrate(f, 0.0, theta_c, 16, 1e-12)
-    hi = _integrate(f, math.pi - theta_c, math.pi, 16, 1e-12)
-    return lo + hi
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +363,8 @@ def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
     # singular budget: integrate the kernel bound E/sqrt(1-Q^2) over B^c
     f_bound = _leray_integrand(model)
     sing = vol * model.E * (
-        _integrate(f_bound, 0.0, theta_c, 16, 1e-10)
-        + _integrate(f_bound, math.pi - theta_c, math.pi, 16, 1e-10)
+        specfun._integrate_theta(f_bound, 0.0, theta_c, 16, rtol=1e-10)
+        + specfun._integrate_theta(f_bound, math.pi - theta_c, math.pi, 16, rtol=1e-10)
     )
 
     expectation = volume_expectation(model)
@@ -403,12 +389,3 @@ def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
 def _node_seed(seed: int, index: int) -> int:
     # distinct, stable stream per (seed, node); SeedSequence hashes the pair
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
-
-
-def sigma_scaling_report(model: SphereModel, quad: QuadratureSpec | None = None) -> tuple[float, float]:
-    """Integrals of the spectral norm of S and of its square over the
-    nonsingular interval, against dmu."""
-    _, nodes, weights = _nonsingular_nodes(model, quad or QuadratureSpec())
-    blocks = covariance.blocks_at(model, nodes)
-    sigma = covariance.sigma_norm(covariance.omega_spectrum(blocks), blocks.scale)
-    return float(np.dot(weights, sigma)), float(np.dot(weights, sigma**2))

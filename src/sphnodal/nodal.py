@@ -4,10 +4,7 @@ A sampled eigenfunction is evaluated at every mesh vertex; each triangle
 whose vertex signs disagree contributes one great-circle segment between
 the linearly interpolated zero crossings of its two sign-change edges.
 Total length approximates the nodal volume; dividing each segment by the
-gradient norm at its midpoint gives the line-integral Leray estimate, and
-an independent sublevel-area estimator for the Leray measure comes from
-the exact band area of the per-triangle linear interpolant, extrapolated
-in epsilon^2.
+gradient norm at its midpoint gives the line-integral Leray estimate.
 
 Monte Carlo experiments key each draw's coefficients by (seed, sample
 index), so results replay exactly from the seed.
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble, moments
-from .geometry import IcoMesh, icosphere, spherical_triangle_areas
+from .geometry import IcoMesh, icosphere
 from .specfun import SphereModel
 
 __all__ = [
@@ -31,9 +28,7 @@ __all__ = [
     "NearSingularSampleError",
     "extract_nodal",
     "leray_estimate_line",
-    "leray_estimate_sublevel",
     "monte_carlo_experiment",
-    "nodal_to_csv",
 ]
 
 ZERO_VERTEX_TOL = 1e-13
@@ -217,64 +212,6 @@ def leray_estimate_line(sample: ensemble.HarmonicSample, nodal: NodalSet) -> flo
     return float(np.sum(nodal.lengths / nodal.gradient_norms))
 
 
-def _band_fraction(fvals: np.ndarray, level: np.ndarray | float) -> np.ndarray:
-    """Area fraction of {linear interpolant < level} per triangle.
-
-    Closed form for a linear function with sorted vertex values; exact, so
-    the band between -eps and eps is the exact clipped-polygon area.
-    """
-    v = np.sort(fvals, axis=1)
-    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
-    lev = np.broadcast_to(np.asarray(level, dtype=float), v1.shape)
-    frac = np.zeros_like(v1)
-    frac[lev >= v3] = 1.0
-    lower = (lev > v1) & (lev <= v2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_low = (lev - v1) ** 2 / ((v2 - v1) * (v3 - v1))
-        f_high = 1.0 - (v3 - lev) ** 2 / ((v3 - v1) * (v3 - v2))
-    frac[lower] = np.nan_to_num(f_low, nan=0.0, posinf=1.0)[lower]
-    upper = (lev > v2) & (lev < v3)
-    frac[upper] = np.nan_to_num(f_high, nan=1.0, posinf=1.0)[upper]
-    return np.clip(frac, 0.0, 1.0)
-
-
-def leray_estimate_sublevel(sample: ensemble.HarmonicSample, mesh: IcoMesh,
-                            eps_list, values: np.ndarray | None = None,
-                            return_details: bool = False):
-    """Sublevel-area Leray estimate: area{|f| < eps}/(2 eps) from the exact
-    band area of the per-triangle linear model (planar fraction times
-    spherical triangle area), extrapolated linearly in eps^2 to eps = 0.
-
-    ``eps_list`` must be decreasing with at least 3 entries; the line in
-    eps^2 through the two smallest entries does the extrapolating, while the
-    rest of the sequence backs the monotonicity check.  If the raw estimates
-    are not monotone in eps beyond rounding the extrapolation is skipped and
-    the smallest-eps raw value is returned; ``return_details`` exposes the
-    raw sequence either way.
-    """
-    eps = np.asarray(list(eps_list), dtype=float)
-    if eps.size < 3 or np.any(np.diff(eps) >= 0):
-        raise ValueError("eps_list must be a decreasing sequence of >= 3 values")
-    vals = _vertex_values(sample, mesh, values)
-    f = vals[mesh.triangles]
-    areas = spherical_triangle_areas(mesh.vertices, mesh.triangles)
-    raw = np.empty(eps.size)
-    for i, e in enumerate(eps):
-        frac = _band_fraction(f, e) - _band_fraction(f, -e)
-        raw[i] = float(np.dot(areas, frac)) / (2.0 * e)
-    diffs = np.diff(raw)
-    monotone = bool(np.all(diffs >= -1e-9 * np.abs(raw[:-1]))
-                    or np.all(diffs <= 1e-9 * np.abs(raw[:-1])))
-    if monotone:
-        e2_a, e2_b = eps[-2] ** 2, eps[-1] ** 2
-        estimate = float(raw[-1] + (raw[-1] - raw[-2]) * e2_b / (e2_a - e2_b))
-    else:
-        estimate = float(raw[-1])
-    if return_details:
-        return estimate, raw, monotone
-    return estimate
-
-
 def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
                            seed: int, *, mesh: IcoMesh | None = None) -> ExperimentReport:
     """Draw ``samples`` eigenfunctions, extract nodal sets, and report the
@@ -287,13 +224,16 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     values are filled block by block; with more draws the (V, 2n+1) basis
     matrix is the smaller object and serves each draw in turn.  Samples
     whose nodal midpoints carry vanishing gradients are excluded and
-    counted; a warning fires if they exceed 1% of the draws.  A mesh
-    coarser than pi/(8n) per edge warns once, before any sample is drawn.
+    counted; a warning fires if they exceed 1% of the draws, and fewer than
+    2 kept draws raise, as does a degree below 1.  A mesh coarser than
+    pi/(8n) per edge warns once, before any sample is drawn.
     The reported ``theory_varL`` is the leading-order 4 pi / N, not Var(L)
     at degree n (see ``ExperimentReport``).
     """
     if model.m != 2:
         raise ValueError("mesh experiments only run on S^2")
+    if model.n < 1:
+        raise ValueError(f"a degree-{model.n} eigenfunction has no nodal set")
     if samples < 2:
         raise ValueError(f"a sample variance needs at least 2 samples, got {samples}")
     if mesh is None:
@@ -306,13 +246,16 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     if samples <= basis.size:
         # slices aligned with eval_basis_many's own blocks give exactly the
         # rows of the full basis matrix; one gemv per draw and slice gives
-        # the full mat-vec's values (to the last bit at one BLAS thread)
+        # the full mat-vec's values (to the last bit at one BLAS thread).
+        # One array per draw: a row (5 MB at level 8) can reuse heap memory
+        # that an earlier mesh build in the process freed, while one
+        # (samples, V) array would be mapped afresh on top of it
         verts = mesh.vertices
-        raw = np.empty((samples, verts.shape[0]))
+        raw = [np.empty(verts.shape[0]) for _ in range(samples)]
         for start in range(0, verts.shape[0], ensemble._BLOCK):
             block = ensemble.eval_basis_many(basis, verts[start:start + ensemble._BLOCK])
             for idx, a in enumerate(coefs):
-                raw[idx, start:start + ensemble._BLOCK] = block @ a
+                raw[idx][start:start + ensemble._BLOCK] = block @ a
             del block  # freed before the next block is built
         draw_values = (scale * row for row in raw)
     else:
@@ -332,6 +275,9 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
 
     good = ~np.isnan(l_vals)
     excluded = int(samples - good.sum())
+    if samples - excluded < 2:
+        raise ValueError(f"{excluded} of {samples} samples excluded as near-singular; "
+                         f"the Leray variance needs at least 2")
     if excluded > 0.01 * samples:
         warnings.warn(f"{excluded} of {samples} samples excluded as near-singular")
 
@@ -352,11 +298,3 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
         theory_varL=moments.leray_variance_asymptotic(model),
         excluded=excluded,
     )
-
-
-def nodal_to_csv(nodal: NodalSet) -> str:
-    """Segments as CSV polylines: x1,y1,z1,x2,y2,z2 per row."""
-    lines = ["x1,y1,z1,x2,y2,z2"]
-    for seg in nodal.segments:
-        lines.append(",".join(repr(float(c)) for c in seg.reshape(6)))
-    return "\n".join(lines) + "\n"

@@ -34,7 +34,6 @@ __all__ = [
     "find_c0",
     "epsilon_rate",
     "mu_weight_constant",
-    "HILB_ENVELOPE_CONST",
 ]
 
 # Envelope constant for the Hilb approximation error bound, fitted once at

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -41,3 +42,18 @@ def _quiet_mesh_warnings():
 def unit_points(rng: np.random.Generator, count: int, dim: int = 3) -> np.ndarray:
     x = rng.standard_normal((count, dim))
     return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def sample_function(basis: ensemble.HarmonicBasis, seed) -> ensemble.HarmonicSample:
+    """A random eigenfunction with i.i.d. N(0, 1) coefficients from the
+    Philox stream of ``seed``, scaled to unit pointwise variance."""
+    a = ensemble.rng_for(seed).standard_normal(basis.size)
+    return ensemble.HarmonicSample(basis=basis, a=a, scale=math.sqrt(4 * math.pi / basis.size))
+
+
+def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Solid angle of each spherical triangle (van Oosterom-Strackee)."""
+    a, b, c = (vertices[triangles[:, k]] for k in range(3))
+    num = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
+    den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
+    return 2.0 * np.arctan2(num, den)

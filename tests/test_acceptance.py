@@ -238,14 +238,14 @@ def test_criterion_7_covariance_machinery():
         basis = en.HarmonicBasis(n)
         scale = math.sqrt(4 * math.pi / basis.size)
         rows = np.zeros((6, basis.size))
-        rows[0] = en.eval_basis(basis, x)
-        rows[1] = en.eval_basis(basis, pole)
+        rows[0:2] = en.eval_basis_many(basis, np.stack([x, pole]))
         for k in range(basis.size):
             coeff = np.zeros(basis.size)
             coeff[k] = 1.0
             unit = en.HarmonicSample(basis=basis, a=coeff, scale=1.0)
-            rows[2:4, k] = frame_x.coords(en.eval_gradient_ambient(unit, x))
-            rows[4:6, k] = frame_y.coords(en.eval_gradient_ambient(unit, pole))
+            grad_x, grad_pole = en.eval_gradient_ambient_many(unit, np.stack([x, pole]))
+            rows[2:4, k] = frame_x.coords(grad_x)
+            rows[4:6, k] = frame_y.coords(grad_pole)
         rows *= scale
         draws = en.rng_for(2024, n).standard_normal((10**5, basis.size))
         emp = np.cov((draws @ rows.T).T)
@@ -317,8 +317,8 @@ def test_criterion_9_kernel_oracles(kernel_reports):
         theta_c = mo._split_theta(model_n, 0.9)
         f = mo._leray_integrand(model_n)
         budget = ge.sphere_volume(2) * model_n.E * (
-            mo._integrate(f, 0.0, theta_c, 16, 1e-10)
-            + mo._integrate(f, math.pi - theta_c, math.pi, 16, 1e-10))
+            sf._integrate_theta(f, 0.0, theta_c, 16, rtol=1e-10)
+            + sf._integrate_theta(f, math.pi - theta_c, math.pi, 16, rtol=1e-10))
         budget_ok &= budget <= 1.5 * fit * model_n.E * sf.epsilon_rate(2, n)
     check("criterion 9: kernel oracles and singular budget", [
         (f"independence case K = E/8 within 3 SE (got {val0:.4f} +- {se0:.4f})",

@@ -130,6 +130,21 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[0][1] == "20"
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"format": "xml"}, "error: config key 'format' must be"),
+    ({"samples": "10"}, "error: config key 'samples' must be"),
+    ({"as_dict": 1}, "error: unknown config key 'as_dict'"),
+], ids=["format", "samples", "method"])
+def test_config_file_values_are_type_checked(tmp_path, values, message):
+    # a bad value stops the run before any output instead of being echoed
+    # and ignored, or failing later with a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc-verify", "--config", str(cfg), "--n", "5", "--mesh-level", "3"])
+    assert str(exc.value.code).startswith(message)
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "table.csv"
     code, _ = run_cli(["moments-table", "--m", "2", "--n", "1", "--output", str(out)])
@@ -172,6 +187,7 @@ def test_mc_verify_reports_under_resolution(level, expected):
     ["covariance-check", "--n", "5", "--theta-points", "0", "--format", "json"],
     ["volume-variance", "--n", "5", "--mc-paths", "1"],
     ["kernel-profile", "--n", "5", "--theta-points", "3", "--mc-paths", "5"],
+    ["mc-verify", "--n", "0", "--mesh-level", "2", "--samples", "3"],
 ])
 def test_sizes_that_leave_no_statistic_are_rejected(args):
     # too few samples, paths or angles for a variance, a standard error or a

@@ -207,14 +207,14 @@ def test_sigma_matches_ensemble_covariance():
         basis = en.HarmonicBasis(n)
         scale = math.sqrt(4 * math.pi / basis.size)
         rows = np.zeros((6, basis.size))
-        rows[0] = en.eval_basis(basis, x)
-        rows[1] = en.eval_basis(basis, pole)
+        rows[0:2] = en.eval_basis_many(basis, np.stack([x, pole]))
         for k in range(basis.size):
             coeff = np.zeros(basis.size)
             coeff[k] = 1.0
             unit = en.HarmonicSample(basis=basis, a=coeff, scale=1.0)
-            rows[2:4, k] = frame_x.coords(en.eval_gradient_ambient(unit, x))
-            rows[4:6, k] = frame_y.coords(en.eval_gradient_ambient(unit, pole))
+            grad_x, grad_pole = en.eval_gradient_ambient_many(unit, np.stack([x, pole]))
+            rows[2:4, k] = frame_x.coords(grad_x)
+            rows[4:6, k] = frame_y.coords(grad_pole)
         rows *= scale
         draws = en.rng_for(2024, n).standard_normal((10**5, basis.size))
         emp = np.cov((draws @ rows.T).T)

@@ -6,8 +6,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from sphnodal import geometry as ge
+from sphnodal import moments as mo
 
-from conftest import unit_points
+from conftest import triangle_areas, unit_points
+
+
+def distance(x, y):
+    return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
 
 
 def test_sphere_volume():
@@ -17,8 +22,11 @@ def test_sphere_volume():
 
 
 def test_mu_density_values():
-    assert ge.mu_density(2, 0.7) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert ge.mu_density(3, 0.0) == pytest.approx(4 * math.pi, rel=1e-14)
+    # dmu = density(t) dt with t = cos theta, so the density is the theta
+    # weight over sin theta
+    for m, t, want in ((2, 0.7, 2 * math.pi), (3, 0.0, 4 * math.pi)):
+        theta = math.acos(t)
+        assert mo._mu_theta_weight(m, theta) / math.sin(theta) == pytest.approx(want, rel=1e-14)
 
 
 def test_mu_total_mass_is_sphere_volume():
@@ -26,72 +34,9 @@ def test_mu_total_mass_is_sphere_volume():
     x, w = leggauss(200)
     theta = math.pi / 2 * (x + 1.0)
     for m in range(2, 7):
-        vals = ge.mu_density(m, np.cos(theta)) * np.sin(theta)
+        vals = mo._mu_theta_weight(m, theta)
         mass = math.pi / 2 * float(np.dot(w, vals))
         assert mass == pytest.approx(ge.sphere_volume(m), rel=1e-10)
-
-
-def test_geodesic_distance():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    assert ge.geodesic_distance(e1, e1) == 0.0
-    assert ge.geodesic_distance(e1, -e1) == pytest.approx(math.pi, abs=1e-15)
-    assert ge.geodesic_distance(e1, e2) == pytest.approx(math.pi / 2, abs=1e-15)
-
-
-def test_transport_frame_at_pole_is_reference():
-    ref = ge.reference_frame(2)
-    fr = ge.transport_frame(ge.north_pole(2), ref)
-    assert np.allclose(fr.vectors, ref.vectors)
-
-
-def test_transport_frame_invariants():
-    rng = np.random.default_rng(0)
-    ref = ge.reference_frame(3)
-    for x in unit_points(rng, 25, dim=4):
-        if ge.geodesic_distance(x, -ge.north_pole(3)) < 1e-3:
-            continue
-        fr = ge.transport_frame(x, ref)
-        gram = fr.vectors @ fr.vectors.T
-        assert np.max(np.abs(gram - np.eye(3))) < 1e-10
-        assert np.max(np.abs(fr.vectors @ x)) < 1e-10
-
-
-def test_transport_matches_rodrigues_on_equator():
-    ref = ge.reference_frame(2)
-    x = np.array([1.0, 0.0, 0.0])
-    fr = ge.transport_frame(x, ref)
-    axis = np.cross(ge.north_pole(2), x)
-    axis /= np.linalg.norm(axis)
-
-    def rodrigues(v, k, ang):
-        return (v * math.cos(ang) + np.cross(k, v) * math.sin(ang)
-                + k * np.dot(k, v) * (1 - math.cos(ang)))
-
-    for i in range(2):
-        expected = rodrigues(ref.vectors[i], axis, math.pi / 2)
-        assert np.max(np.abs(fr.vectors[i] - expected)) < 1e-10
-
-
-def test_transport_frame_south_pole_excluded():
-    ref = ge.reference_frame(2)
-    with pytest.raises(ValueError):
-        ge.transport_frame(-ge.north_pole(2), ref)
-
-
-def test_transport_frame_smoothness():
-    rng = np.random.default_rng(3)
-    ref = ge.reference_frame(2)
-    h = 1e-4
-    for x in unit_points(rng, 60):
-        if ge.geodesic_distance(x, -ge.north_pole(2)) < 0.2:
-            continue
-        v = rng.standard_normal(3)
-        v -= np.dot(v, x) * x
-        v /= np.linalg.norm(v)
-        fr1 = ge.transport_frame(x, ref)
-        fr2 = ge.transport_frame(ge.sphere_exp(x, v, h), ref)
-        assert np.max(np.linalg.norm(fr1.vectors - fr2.vectors, axis=1)) <= 10 * h
 
 
 def test_aligned_frames_gradient_coordinates():
@@ -99,7 +44,7 @@ def test_aligned_frames_gradient_coordinates():
     for dim in (2, 3):
         for _ in range(10):
             x, y = unit_points(rng, 2, dim=dim + 1)
-            d = ge.geodesic_distance(x, y)
+            d = distance(x, y)
             if d < 0.05 or d > math.pi - 0.05:
                 continue
             fx, fy = ge.aligned_frames(x, y)
@@ -118,9 +63,9 @@ def test_aligned_frames_match_finite_difference_gradient():
     fx, _ = ge.aligned_frames(x, y)
     h = 1e-6
     for i in range(2):
-        fd = (ge.geodesic_distance(ge.sphere_exp(x, fx.vectors[i], h), y)
-              - ge.geodesic_distance(ge.sphere_exp(x, fx.vectors[i], -h), y)) / (2 * h)
-        grad_x = (math.cos(ge.geodesic_distance(x, y)) * x - y) / math.sin(ge.geodesic_distance(x, y))
+        fd = (distance(ge.sphere_exp(x, fx.vectors[i], h), y)
+              - distance(ge.sphere_exp(x, fx.vectors[i], -h), y)) / (2 * h)
+        grad_x = (math.cos(distance(x, y)) * x - y) / math.sin(distance(x, y))
         assert fd == pytest.approx(float(np.dot(grad_x, fx.vectors[i])), rel=1e-6, abs=1e-9)
 
 
@@ -161,7 +106,7 @@ def test_icosphere_vertices_unit_and_manifold():
 
 def test_icosphere_area_sum():
     mesh = ge.icosphere(4)
-    areas = ge.spherical_triangle_areas(mesh.vertices, mesh.triangles)
+    areas = triangle_areas(mesh.vertices, mesh.triangles)
     assert float(areas.sum()) == pytest.approx(4 * math.pi, rel=5e-3)
 
 
@@ -212,17 +157,6 @@ def test_icosphere_guard():
         ge.icosphere(10)
     with pytest.raises(ValueError):
         ge.icosphere(-1)
-
-
-def test_mesh_text_export():
-    mesh = ge.icosphere(0)
-    text = ge.mesh_to_text(mesh)
-    lines = text.strip().split("\n")
-    assert len(lines) == 12 + 20
-    assert lines[0].startswith("v ")
-    assert lines[12].startswith("t ")
-    first = np.array([float(v) for v in lines[0].split()[1:]])
-    assert np.allclose(first, mesh.vertices[0])
 
 
 def test_pushforward_histogram_matches_mu():

@@ -14,6 +14,23 @@ def independence_blocks(model, u=0.0):
                                h_long=0.0, h_trans=0.0, scale=model.E / model.m)
 
 
+def singular_interval_mass(model, eps0=0.9):
+    """mu measure of the complement of the nonsingular interval."""
+    theta_c = mo._split_theta(model, eps0)
+    f = lambda th: mo._mu_theta_weight(model.m, th)
+    return (sf._integrate_theta(f, 0.0, theta_c, 16, rtol=1e-12)
+            + sf._integrate_theta(f, math.pi - theta_c, math.pi, 16, rtol=1e-12))
+
+
+def sigma_scaling_report(model):
+    """Integrals of the spectral norm of S and of its square over the
+    nonsingular interval, against dmu."""
+    _, nodes, weights = mo._nonsingular_nodes(model, mo.QuadratureSpec())
+    blocks = cv.blocks_at(model, nodes)
+    sigma = cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale)
+    return float(np.dot(weights, sigma)), float(np.dot(weights, sigma**2))
+
+
 def test_leray_expectation_values():
     assert mo.leray_expectation(2) == pytest.approx(math.sqrt(8 * math.pi), rel=1e-14)
     assert mo.leray_expectation(3) == pytest.approx(2 * math.pi**2 / math.sqrt(2 * math.pi), rel=1e-14)
@@ -202,9 +219,9 @@ def test_leray_quadrature_panel_stability():
 
 
 def test_singular_interval_mass_scaling():
-    fit = mo.singular_interval_mass(sf.SphereModel(2, 10)) * 10**2
+    fit = singular_interval_mass(sf.SphereModel(2, 10)) * 10**2
     for n in (20, 40, 80, 160):
-        mass = mo.singular_interval_mass(sf.SphereModel(2, n)) * n**2
+        mass = singular_interval_mass(sf.SphereModel(2, n)) * n**2
         assert mass <= 1.5 * fit
 
 
@@ -289,7 +306,6 @@ def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys):
     # one kernel_K call per Monte Carlo pass; a doubled pass draws only the new paths
     assert calls == [20000] + [20000 * 2**k for k in range(len(calls) - 1)]
     assert sum(calls) == rep.mc_paths
-    mo.sigma_scaling_report(sf.SphereModel(2, 10))
     passes = len(calls)
     assert cli.main(["kernel-profile", "--n", "8,9", "--theta-points", "5",
                      "--mc-paths", "400"]) == 0
@@ -338,7 +354,7 @@ def test_sigma_scaling_bounded():
     base_lin = None
     for n in (10, 20, 40, 80):
         model = sf.SphereModel(2, n)
-        int_sigma, int_sigma_sq = mo.sigma_scaling_report(model)
+        int_sigma, int_sigma_sq = sigma_scaling_report(model)
         lin = int_sigma * math.sqrt(model.N)
         sq = int_sigma_sq * model.N
         if n == 10:
@@ -374,13 +390,13 @@ def _sigma_scaling_oracle(model):
 @pytest.mark.parametrize("n", [10, 20])
 def test_sigma_scaling_matches_hand_built_s(n):
     model = sf.SphereModel(2, n)
-    got = mo.sigma_scaling_report(model)
+    got = sigma_scaling_report(model)
     want = _sigma_scaling_oracle(model)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_sigma_scaling_cauchy_schwarz():
     model = sf.SphereModel(2, 20)
-    int_sigma, int_sigma_sq = mo.sigma_scaling_report(model)
-    mass = sphere_volume(2) - mo.singular_interval_mass(model)
+    int_sigma, int_sigma_sq = sigma_scaling_report(model)
+    mass = sphere_volume(2) - singular_interval_mass(model)
     assert int_sigma**2 <= int_sigma_sq * mass * (1 + 1e-12)

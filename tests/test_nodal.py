@@ -13,12 +13,54 @@ from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
+from conftest import sample_function, triangle_areas
+
 
 def zonal_degree_one(coefficient=1.0):
     basis = en.HarmonicBasis(1)
     a = np.zeros(3)
     a[1] = coefficient  # k = 0 entry
     return en.HarmonicSample(basis=basis, a=a, scale=math.sqrt(4 * math.pi / 3))
+
+
+def band_fraction(fvals: np.ndarray, level) -> np.ndarray:
+    """Area fraction of {linear interpolant < level} per triangle.
+
+    Closed form for a linear function with sorted vertex values; exact, so
+    the band between -eps and eps is the exact clipped-polygon area.
+    """
+    v = np.sort(fvals, axis=1)
+    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
+    lev = np.broadcast_to(np.asarray(level, dtype=float), v1.shape)
+    frac = np.zeros_like(v1)
+    frac[lev >= v3] = 1.0
+    lower = (lev > v1) & (lev <= v2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f_low = (lev - v1) ** 2 / ((v2 - v1) * (v3 - v1))
+        f_high = 1.0 - (v3 - lev) ** 2 / ((v3 - v1) * (v3 - v2))
+    frac[lower] = np.nan_to_num(f_low, nan=0.0, posinf=1.0)[lower]
+    upper = (lev > v2) & (lev < v3)
+    frac[upper] = np.nan_to_num(f_high, nan=1.0, posinf=1.0)[upper]
+    return np.clip(frac, 0.0, 1.0)
+
+
+def leray_sublevel(mesh, values, eps) -> float:
+    """Sublevel-area Leray estimate, independent of the line integral:
+    area{|f| < eps} / (2 eps) from the exact band area of the per-triangle
+    linear model (planar fraction times spherical triangle area), for a
+    decreasing ``eps`` sequence.  When the raw values are monotone in eps
+    the line in eps^2 through the two smallest extrapolates to eps = 0;
+    otherwise the smallest-eps value is returned."""
+    f = values[mesh.triangles]
+    areas = triangle_areas(mesh.vertices, mesh.triangles)
+    raw = np.array([float(np.dot(areas, band_fraction(f, e) - band_fraction(f, -e))) / (2.0 * e)
+                    for e in eps])
+    diffs = np.diff(raw)
+    slack = 1e-9 * np.abs(raw[:-1])
+    if np.all(diffs >= -slack) or np.all(diffs <= slack):
+        e2_a, e2_b = eps[-2] ** 2, eps[-1] ** 2
+        return float(raw[-1] + (raw[-1] - raw[-2]) * e2_b / (e2_a - e2_b))
+    return float(raw[-1])
 
 
 def sample_with_values(n, seed, mesh, basis_matrix=None):
@@ -146,7 +188,7 @@ def test_zonal_nodal_line_is_equator(mesh_level5):
 def test_zonal_leray_closed_form(mesh_level5):
     sample = zonal_degree_one()
     nodal = nd.extract_nodal(sample, mesh_level5)
-    grad = np.linalg.norm(en.eval_gradient_ambient(sample, np.array([1.0, 0.0, 0.0])))
+    grad = np.linalg.norm(en.eval_gradient_ambient_many(sample, np.array([[1.0, 0.0, 0.0]])))
     assert nd.leray_estimate_line(sample, nodal) == pytest.approx(2 * math.pi / grad, rel=1e-4)
 
 
@@ -188,15 +230,13 @@ def test_leray_scaling_laws(mesh_level5):
 
 
 def test_sublevel_scaling_law(mesh_level5):
-    sample, values = sample_with_values(8, 3, mesh_level5)
+    _, values = sample_with_values(8, 3, mesh_level5)
     h = mesh_level5.edge_length_max
     fmax = float(np.max(np.abs(values)))
     eps = [4 * h * fmax, 2 * h * fmax, h * fmax]
-    est = nd.leray_estimate_sublevel(sample, mesh_level5, eps, values=values)
+    est = leray_sublevel(mesh_level5, values, eps)
     b = 2.5
-    scaled = en.HarmonicSample(basis=sample.basis, a=b * sample.a, scale=sample.scale)
-    est_b = nd.leray_estimate_sublevel(scaled, mesh_level5, [b * e for e in eps],
-                                       values=b * values)
+    est_b = leray_sublevel(mesh_level5, b * values, [b * e for e in eps])
     assert est_b == pytest.approx(est / b, rel=1e-12)
 
 
@@ -204,7 +244,7 @@ def test_band_fraction_exact_for_linear_function():
     fvals = np.array([[-1.0, 0.5, 2.0]])
     v1, v2, v3 = -1.0, 0.5, 2.0
     for c in (-2.0, -0.5, 0.25, 1.0, 3.0):
-        got = nd._band_fraction(fvals, c)[0]
+        got = band_fraction(fvals, c)[0]
         if c <= v1:
             expected = 0.0
         elif c <= v2:
@@ -227,9 +267,9 @@ def test_band_fraction_exact_for_linear_function():
 @settings(max_examples=300, deadline=None)
 def test_band_fraction_bounds_and_monotone(vals, level):
     f = np.array([vals], dtype=float)
-    frac = nd._band_fraction(f, level)[0]
+    frac = band_fraction(f, level)[0]
     assert 0.0 <= frac <= 1.0
-    assert nd._band_fraction(f, level + 0.25)[0] >= frac - 1e-12
+    assert band_fraction(f, level + 0.25)[0] >= frac - 1e-12
 
 
 def test_band_fraction_near_coincident_values_no_overflow_warning():
@@ -237,32 +277,8 @@ def test_band_fraction_near_coincident_values_no_overflow_warning():
     # belong to entries the masks discard
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        frac = nd._band_fraction(np.array([[-1e-160, 0.0, 1e-160]]), 3.0)
+        frac = band_fraction(np.array([[-1e-160, 0.0, 1e-160]]), 3.0)
     assert frac[0] == 1.0
-
-
-def test_sublevel_eps_list_validation(mesh_level5):
-    sample, values = sample_with_values(8, 3, mesh_level5)
-    with pytest.raises(ValueError):
-        nd.leray_estimate_sublevel(sample, mesh_level5, [0.1, 0.2, 0.3], values=values)
-    with pytest.raises(ValueError):
-        nd.leray_estimate_sublevel(sample, mesh_level5, [0.2, 0.1], values=values)
-
-
-def test_sublevel_details_raw_sequence(mesh_level5):
-    sample, values = sample_with_values(13, 6, mesh_level5)
-    h = mesh_level5.edge_length_max
-    fmax = float(np.max(np.abs(values)))
-    est, raw, monotone = nd.leray_estimate_sublevel(
-        sample, mesh_level5, [4 * h * fmax, 2 * h * fmax, h * fmax],
-        values=values, return_details=True,
-    )
-    assert raw.shape == (3,)
-    if monotone:
-        # extrapolation continues the trend of the two smallest eps values
-        assert (est - raw[-1]) * (raw[-1] - raw[-2]) >= 0
-    else:
-        assert est == raw[-1]
 
 
 def test_cross_estimator_agreement(mesh_level5, basis20, basis20_on_level5):
@@ -283,9 +299,7 @@ def test_cross_estimator_agreement(mesh_level5, basis20, basis20_on_level5):
         except (nd.NearSingularSampleError, ValueError):
             continue
         fmax = float(np.max(np.abs(values)))
-        sub = nd.leray_estimate_sublevel(
-            sample, mesh_level5, [4 * h * fmax, 2 * h * fmax, h * fmax], values=values
-        )
+        sub = leray_sublevel(mesh_level5, values, [4 * h * fmax, 2 * h * fmax, h * fmax])
         lines.append(line)
         subs.append(sub)
         rel.append(abs(line - sub) / line)
@@ -334,7 +348,7 @@ def test_refinement_consistency(mesh_level5, mesh_level6, mesh_level7, basis20,
 
 def test_near_singular_detection():
     basis = en.HarmonicBasis(2)
-    sample = en.sample_function(basis, 1)
+    sample = sample_function(basis, 1)
     segments = np.array([[[1.0, 0, 0], [0, 1.0, 0]]])
     fake = nd.NodalSet(segments=segments, lengths=np.array([math.pi / 2]),
                        total_length=math.pi / 2, gradient_norms=np.array([1e-12]))
@@ -347,7 +361,7 @@ def test_near_singular_detection():
 
 
 def test_coarse_mesh_warns():
-    sample = en.sample_function(en.HarmonicBasis(40), 2)
+    sample = sample_function(en.HarmonicBasis(40), 2)
     with pytest.warns(UserWarning, match="under-resolved"):
         with warnings.catch_warnings():
             warnings.simplefilter("always")
@@ -389,15 +403,13 @@ def test_monte_carlo_rejects_higher_dimensions():
         nd.monte_carlo_experiment(sf.SphereModel(3, 5), 4, samples=2, seed=0)
 
 
-def test_nodal_csv_export(mesh_level5):
-    sample, values = sample_with_values(6, 8, mesh_level5)
-    nodal = nd.extract_nodal(sample, mesh_level5, values=values)
-    text = nd.nodal_to_csv(nodal)
-    lines = text.strip().split("\n")
-    assert lines[0] == "x1,y1,z1,x2,y2,z2"
-    assert len(lines) == nodal.segments.shape[0] + 1
-    first = np.array([float(v) for v in lines[1].split(",")])
-    assert np.allclose(first[:3], nodal.segments[0, 0])
+def test_monte_carlo_rejects_runs_that_leave_no_leray_variance(monkeypatch):
+    def near_singular(sample, nodal):
+        raise nd.NearSingularSampleError("vanishing gradient on the nodal set")
+
+    monkeypatch.setattr(nd, "leray_estimate_line", near_singular)
+    with pytest.raises(ValueError, match="3 of 3 samples excluded"):
+        nd.monte_carlo_experiment(sf.SphereModel(2, 5), 3, samples=3, seed=0)
 
 
 @pytest.mark.parametrize("level,n", [(3, 6), (5, 20), (7, 20)])

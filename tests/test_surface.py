@@ -1,0 +1,112 @@
+"""The package's public surface stays what the commands use.
+
+Every module's ``__all__`` lists exactly its public module-level functions
+and classes, and every such name is reached from ``cli.py`` or kept below
+for a stated reason.  Reachability walks names through the source with
+``ast``: a top-level definition is reached when cli's module-level code or
+a reached definition mentions it by bare name, through
+``from .module import name``, or as ``module.name`` after
+``from . import module``, imports inside functions included.  What a kept
+name reaches counts as reached too.  A local variable that shares a
+top-level name counts as a mention, so the walk can only over-report.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sphnodal
+
+# public names that no command reaches, each with the reason it stays
+KEEP = {
+    "covariance.omega_matrix": "the assembled Omega, oracle of omega_spectrum and the determinant identity",
+    "ensemble.sample_gaussian_field": "the independent sampler that checks the basis sampler and covers m > 2",
+    "specfun.hilb_approx": "Hilb's approximation with its error envelope, which acceptance criterion 8 checks",
+    "specfun.epsilon_rate": "the decay rate that the singular budget of acceptance criterion 9 tracks",
+}
+
+# the package __init__ only re-exports
+TREES = {path.stem: ast.parse(path.read_text())
+         for path in sorted(Path(sphnodal.__file__).parent.glob("*.py"))
+         if path.stem != "__init__"}
+
+
+def _public(tree) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def _declared_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _definitions(tree) -> dict:
+    """Top-level name -> the statement that binds it."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    return defs
+
+
+def _relative_imports(tree) -> dict:
+    """Local name -> (module, name), with name None for a module import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                target = (node.module, alias.name) if node.module else (alias.name, None)
+                bound[alias.asname or alias.name] = target
+    return bound
+
+
+def _reached(kept=()) -> set[tuple[str, str]]:
+    """(module, name) of every top-level definition reached from cli's
+    module-level code and from the ``kept`` names."""
+    defs = {module: _definitions(tree) for module, tree in TREES.items()}
+    imports = {module: _relative_imports(tree) for module, tree in TREES.items()}
+    seen = set()
+    todo = [("cli", node) for node in TREES["cli"].body]
+    for name in kept:
+        module, attr = name.split(".")
+        todo.append((module, defs[module][attr]))
+    while todo:
+        module, node = todo.pop()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                bound = imports[module].get(sub.id)
+                key = bound if bound and bound[1] else (module, sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                bound = imports[module].get(sub.value.id)
+                if not bound or bound[1] is not None:
+                    continue
+                key = (bound[0], sub.attr)
+            else:
+                continue
+            if key not in seen and key[1] in defs.get(key[0], {}):
+                seen.add(key)
+                todo.append((key[0], defs[key[0]][key[1]]))
+    return seen
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_all_lists_exactly_the_public_functions_and_classes(module):
+    assert _declared_all(TREES[module]) == _public(TREES[module])
+
+
+def test_every_public_name_is_reached_from_the_cli_or_kept():
+    public = {f"{module}.{name}" for module, tree in TREES.items() for name in _public(tree)}
+    from_cli = {f"{module}.{name}" for module, name in _reached()}
+    # a kept name that a command starts to use, or that is deleted, leaves the list
+    assert all(name in public and name not in from_cli for name in KEEP)
+    reached = {f"{module}.{name}" for module, name in _reached(KEEP)}
+    assert sorted(public - reached - set(KEEP)) == []
