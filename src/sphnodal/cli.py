@@ -114,8 +114,14 @@ _FILE_VALUE_CHECKS = {
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
+            raise SystemExit(f"error: cannot read config file {args.config!r}: {exc}")
+        if not isinstance(file_values, dict):
+            raise SystemExit(f"error: config file {args.config!r} must hold a JSON object, "
+                             f"got {type(file_values).__name__}")
         for key, value in file_values.items():
             if key == "command":
                 continue
@@ -132,6 +138,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
     if isinstance(cfg.n, int):
         cfg.n = [cfg.n]
+    if cfg.seed < 0:
+        raise SystemExit("error: seed must be >= 0")
     if cfg.mesh_level > 9:
         raise SystemExit("error: mesh_level must be <= 9")
     if not (0.0 < cfg.eps0 < 1.0):
@@ -297,8 +305,12 @@ def main(argv=None) -> int:
         return 1
     text = render(cfg, columns, rows, trailing)
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.output_path}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

@@ -114,8 +114,8 @@ def volume_expectation(model: SphereModel) -> float:
 # Kernel Monte Carlo
 # ---------------------------------------------------------------------------
 
-def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int, *,
-             streams: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate of the kernel at every separation of the record,
     with its standard error; both have theta's shape.
 
@@ -126,14 +126,9 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int, *,
     reported standard error stays honest.  Every node is checked for a
     degenerate Omega before any draw.  Node i draws from its own Philox
     stream keyed (seed, i), so the result is deterministic for a fixed seed
-    and does not depend on evaluation order.
-
-    ``streams``, a zeroed (nodes, PHILOX_WORDS) uint64 array on the first
-    call, carries the streams from one call to the next: each node's
-    Philox state is saved in its row after drawing, and a row that holds a
-    state is continued rather than restarted.  A second call with the same
-    array therefore draws the pairs that follow the first call's, which is
-    how ``volume_second_moment`` doubles its paths.
+    and does not depend on evaluation order.  Every call draws each stream
+    from its start, so a call with more paths redraws the pairs of a call
+    with fewer and continues past them.
     """
     if mc_paths < 4:
         raise ValueError(f"kernel Monte Carlo needs at least 4 paths (two antithetic "
@@ -170,8 +165,6 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int, *,
         root[j, j] = root[m + j, m + j] = p[i]
         root[j, m + j] = root[m + j, j] = q[i]
         bits = np.random.Philox(np.random.SeedSequence(_node_seed(seed, i)))
-        if streams is not None and streams[i].any():
-            bits.state = _unpack_philox(streams[i])
         np.random.Generator(bits).standard_normal(out=z)
         np.matmul(z, root, out=w)
         np.multiply(w, w, out=w)
@@ -189,40 +182,9 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int, seed: int, *,
         # the pair mean is the value itself
         means[i] = np.mean(prod)
         sds[i] = np.std(prod, ddof=1)
-        if streams is not None:
-            streams[i] = _pack_philox(bits.state)
     denom = 2.0 * math.pi * np.sqrt(1.0 - np.asarray(blocks.u) ** 2)
     shape = bad.shape
     return means.reshape(shape) / denom, sds.reshape(shape) / math.sqrt(pairs) / denom
-
-
-# A Philox state as one row of words: counter (4), key (2), buffer (4),
-# buffer_pos, has_uint32, uinteger.
-PHILOX_WORDS = 13
-
-
-def _pack_philox(state: dict) -> np.ndarray:
-    tail = np.array([state["buffer_pos"], state["has_uint32"], state["uinteger"]], np.uint64)
-    return np.concatenate((state["state"]["counter"], state["state"]["key"], state["buffer"], tail))
-
-
-def _unpack_philox(row: np.ndarray) -> dict:
-    return {"bit_generator": "Philox",
-            "state": {"counter": row[0:4].copy(), "key": row[4:6].copy()},
-            "buffer": row[6:10].copy(), "buffer_pos": int(row[10]),
-            "has_uint32": int(row[11]), "uinteger": int(row[12])}
-
-
-def _merge_passes(pairs_a: int, vals_a, errs_a, pairs_b: int, vals_b, errs_b):
-    """Chan's merge of two per-node (count, mean, M2) summaries of kernel
-    passes over the same nodes, in the kernel's units: the count is in
-    antithetic pairs, the mean is K and M2 = se^2 * pairs * (pairs - 1)."""
-    pairs = pairs_a + pairs_b
-    delta = vals_b - vals_a
-    mean = vals_a + delta * (pairs_b / pairs)
-    m2 = (errs_a**2 * (pairs_a * (pairs_a - 1)) + errs_b**2 * (pairs_b * (pairs_b - 1))
-          + delta**2 * (pairs_a * pairs_b / pairs))
-    return mean, np.sqrt(m2 / (pairs * (pairs - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,35 +292,28 @@ def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
     split between the measured bulk and the bounded remainder is reported in
     ``nonsingular_contribution`` / ``singular_contribution`` so the budget
     stays visible.  If the accumulated Monte Carlo error exceeds the
-    quadrature tolerance the path count is doubled a few times before
-    giving up; a doubled pass continues each node's stream and merges the
-    new pairs into the running per-node statistics, so it equals one
-    fresh pass at the final count up to rounding.  Every node is checked
-    for degeneracy before any draw, so the error lists every offending
-    angle.
+    quadrature tolerance the path count is doubled, up to three times,
+    before giving up; each widened pass is a fresh ``kernel_K`` call that
+    redraws every node's stream from its start, so a widened run equals a
+    single run at the final path count.  Every node is checked for
+    degeneracy before any draw, so the error lists every offending angle.
     """
     quad = quad or QuadratureSpec(relative_tolerance=1e-3)
     vol = sphere_volume(model.m)
     theta_c, nodes, weights = _nonsingular_nodes(model, quad)
     blocks = covariance.blocks_at(model, nodes)
 
-    streams = np.zeros((nodes.size, PHILOX_WORDS), np.uint64)
-    paths = mc_paths
-    vals, errs = kernel_K(blocks, paths, seed, streams=streams)
-    for doubling in range(4):
+    for paths in (mc_paths, 2 * mc_paths, 4 * mc_paths, 8 * mc_paths):
+        vals, errs = kernel_K(blocks, paths, seed)
         nonsing = vol * float(np.dot(weights, vals))
         mc_se = vol * float(np.sqrt(np.sum((weights * errs) ** 2)))
         if mc_se <= quad.relative_tolerance * abs(nonsing):
             break
-        if doubling == 3:
-            raise RuntimeError(
-                f"kernel Monte Carlo error {mc_se:g} still above tolerance "
-                f"{quad.relative_tolerance:g} * {abs(nonsing):g} after widening to {paths} paths"
-            )
-        # the doubled pass continues every node's stream, so it draws only the new pairs
-        more, more_errs = kernel_K(blocks, paths, seed, streams=streams)
-        vals, errs = _merge_passes(paths // 2, vals, errs, paths // 2, more, more_errs)
-        paths *= 2
+    else:
+        raise RuntimeError(
+            f"kernel Monte Carlo error {mc_se:g} still above tolerance "
+            f"{quad.relative_tolerance:g} * {abs(nonsing):g} after widening to {paths} paths"
+        )
 
     # singular budget: integrate the kernel bound E/sqrt(1-Q^2) over B^c
     f_bound = _leray_integrand(model)

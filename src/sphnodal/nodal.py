@@ -101,9 +101,7 @@ class ExperimentReport:
 
 
 def _vertex_values(sample: ensemble.HarmonicSample, mesh: IcoMesh,
-                   values: np.ndarray | None) -> np.ndarray:
-    if values is None:
-        values = ensemble.eval_many(sample, mesh.vertices)
+                   values: np.ndarray) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     # exact zeros at vertices would make crossings ambiguous; replace the
     # value by a re-evaluation a tiny step along the vertex's first edge:
@@ -124,31 +122,13 @@ def _vertex_values(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     return vals
 
 
-def _warn_if_under_resolved(mesh: IcoMesh, n: int) -> None:
-    """Warn when the mesh is coarser than pi/(8n) per edge; the warning
-    points at the caller of the public function that checks."""
-    if n > 0 and mesh.edge_length_max > math.pi / (8.0 * n):
-        warnings.warn(
-            f"mesh edges up to {mesh.edge_length_max:.4f} rad exceed pi/(8n) = "
-            f"{math.pi / (8 * n):.4f}; nodal lines are under-resolved",
-            stacklevel=3,
-        )
-
-
 def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
-                  values: np.ndarray | None = None, *,
-                  check_resolution: bool = True) -> NodalSet:
+                  values: np.ndarray) -> NodalSet:
     """March the triangles of ``mesh`` and collect the zero-crossing
-    segments of ``sample``.
-
-    ``values`` may carry precomputed vertex values (a caller drawing many
-    samples on one mesh evaluates the basis there once for all of them).
-    Warns when the mesh is coarser than pi/(8n) per edge, unless
-    ``check_resolution`` is false (a caller looping over samples on one mesh
-    checks once instead).
+    segments of ``sample``, whose values at the mesh vertices are
+    ``values``.  Whether the mesh resolves the degree is the caller's
+    check (``monte_carlo_experiment`` makes it once per run).
     """
-    if check_resolution:
-        _warn_if_under_resolved(mesh, sample.basis.n)
     vals = _vertex_values(sample, mesh, values)
 
     # component form throughout: a 3-vector is a list of its x, y and z
@@ -238,7 +218,12 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
         raise ValueError(f"a sample variance needs at least 2 samples, got {samples}")
     if mesh is None:
         mesh = icosphere(mesh_level)
-    _warn_if_under_resolved(mesh, model.n)
+    if mesh.edge_length_max > math.pi / (8.0 * model.n):
+        warnings.warn(
+            f"mesh edges up to {mesh.edge_length_max:.4f} rad exceed pi/(8n) = "
+            f"{math.pi / (8 * model.n):.4f}; nodal lines are under-resolved",
+            stacklevel=2,
+        )
     basis = ensemble.HarmonicBasis(model.n)
     scale = math.sqrt(4.0 * math.pi / basis.size)
     coefs = [ensemble.rng_for(seed, idx).standard_normal(basis.size) for idx in range(samples)]
@@ -266,7 +251,7 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     l_vals = np.full(samples, np.nan)
     for idx, (a, values) in enumerate(zip(coefs, draw_values)):
         smp = ensemble.HarmonicSample(basis=basis, a=a, scale=scale)
-        nodal = extract_nodal(smp, mesh, values=values, check_resolution=False)
+        nodal = extract_nodal(smp, mesh, values)
         z_vals[idx] = nodal.total_length
         try:
             l_vals[idx] = leray_estimate_line(smp, nodal)

@@ -44,7 +44,7 @@ def meshes():
 
 
 def resolving_level(meshes, n):
-    """Coarsest icosphere level from 4 whose edges meet extract_nodal's pi/(8n) rule."""
+    """Coarsest icosphere level from 4 whose edges meet monte_carlo_experiment's pi/(8n) rule."""
     level = 4
     while meshes(level).edge_length_max > math.pi / (8 * n):
         level += 1

@@ -145,6 +145,40 @@ def test_config_file_values_are_type_checked(tmp_path, values, message):
     assert str(exc.value.code).startswith(message)
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "error: cannot read config file"),
+    ("{bad", "error: cannot read config file"),
+    ("[1, 2]", "error: config file"),
+], ids=["missing", "syntax", "list"])
+def test_unreadable_config_file_is_an_error(tmp_path, content, message):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["leray-variance", "--config", str(cfg), "--n", "3"])
+    assert str(exc.value.code).startswith(message)
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_is_rejected(tmp_path, source):
+    # refused before any work, for mc-verify before the mesh is built
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    args = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc-verify", "--n", "5", "--mesh-level", "3", *args])
+    assert exc.value.code == "error: seed must be >= 0"
+
+
+def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.csv"
+    assert cli.main(["leray-variance", "--n", "3", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert not out.parent.exists()
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "table.csv"
     code, _ = run_cli(["moments-table", "--m", "2", "--n", "1", "--output", str(out)])

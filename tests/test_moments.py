@@ -138,18 +138,6 @@ def test_kernel_matches_norm_loop(m, n):
     assert np.array_equal(errs, want_errs)
 
 
-def test_kernel_streams_continue_where_they_stopped():
-    blocks = cv.blocks_at(sf.SphereModel(3, 12), np.linspace(0.4, 2.6, 7))
-    streams = np.zeros((7, mo.PHILOX_WORDS), np.uint64)
-    first = mo.kernel_K(blocks, 1000, seed=2, streams=streams)
-    assert np.array_equal(first[0], mo.kernel_K(blocks, 1000, seed=2)[0])
-    second = mo.kernel_K(blocks, 3000, seed=2, streams=streams)
-    merged = mo._merge_passes(500, *first, 1500, *second)
-    fresh = mo.kernel_K(blocks, 4000, seed=2)
-    np.testing.assert_allclose(merged[0], fresh[0], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(merged[1], fresh[1], rtol=1e-12, atol=0)
-
-
 def test_kernel_deterministic():
     blocks = cv.blocks_at(sf.SphereModel(2, 9), 1.1)
     assert mo.kernel_K(blocks, 5000, seed=4) == mo.kernel_K(blocks, 5000, seed=4)
@@ -285,51 +273,57 @@ def test_volume_second_moment_rejects_degenerate_degree():
     assert err.value.theta is not None and 0.0 < err.value.theta < math.pi
 
 
-def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The path count of every kernel_K call, in call order."""
+    calls = []
+    kernel = mo.kernel_K
+
+    def counted_kernel(blocks, mc_paths, seed):
+        calls.append(mc_paths)
+        return kernel(blocks, mc_paths, seed)
+
+    monkeypatch.setattr(mo, "kernel_K", counted_kernel)
+    return calls
+
+
+def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys, kernel_calls):
     from sphnodal import cli
 
     def refuse(blocks):
         raise AssertionError("assembled covariance matrix on a production path")
 
-    calls = []
-    kernel = mo.kernel_K
-
-    def counted_kernel(*args, **kwargs):
-        calls.append(args[1])
-        return kernel(*args, **kwargs)
-
     monkeypatch.setattr(cv, "omega_matrix", refuse)
     monkeypatch.setattr(cv, "sigma_matrix", refuse)
-    monkeypatch.setattr(mo, "kernel_K", counted_kernel)
     rep = mo.volume_second_moment(sf.SphereModel(2, 10), mo.QuadratureSpec(relative_tolerance=1e-3),
                                   mc_paths=20000, seed=3)
-    # one kernel_K call per Monte Carlo pass; a doubled pass draws only the new paths
-    assert calls == [20000] + [20000 * 2**k for k in range(len(calls) - 1)]
-    assert sum(calls) == rep.mc_paths
-    passes = len(calls)
+    # one kernel_K call per Monte Carlo pass; a widened pass draws all its paths afresh
+    assert kernel_calls == [20000 * 2**k for k in range(len(kernel_calls))]
+    assert kernel_calls[-1] == rep.mc_paths
+    passes = len(kernel_calls)
     assert cli.main(["kernel-profile", "--n", "8,9", "--theta-points", "5",
                      "--mc-paths", "400"]) == 0
-    assert len(calls) == passes + 2  # one per degree
+    assert len(kernel_calls) == passes + 2  # one per degree
     assert capsys.readouterr().out.count("\n") == 2 + 10
 
 
-def test_doubled_volume_pass_continues_node_streams(monkeypatch):
+def test_doubled_volume_pass_continues_node_streams(kernel_calls):
     quad = mo.QuadratureSpec(relative_tolerance=1e-3)
     model = sf.SphereModel(2, 10)
     fresh = mo.volume_second_moment(model, quad, mc_paths=4000, seed=3)
-    pairs = []
-    kernel = mo.kernel_K
-
-    def counted_kernel(blocks, mc_paths, seed, **kwargs):
-        pairs.append(mc_paths // 2)
-        return kernel(blocks, mc_paths, seed, **kwargs)
-
-    monkeypatch.setattr(mo, "kernel_K", counted_kernel)
+    kernel_calls.clear()
     doubled = mo.volume_second_moment(model, quad, mc_paths=2000, seed=3)
-    assert doubled.mc_paths == fresh.mc_paths == 4000
-    assert pairs == [1000, 1000]  # mc_paths / 2 pairs per node in total
-    for field in ("nonsingular_contribution", "mc_std_error", "variance"):
-        assert getattr(doubled, field) == pytest.approx(getattr(fresh, field), rel=1e-12, abs=0)
+    # the widened pass restarts every node's stream, so it redraws the first
+    # pass's pairs and equals a single run at 4000 paths bit for bit
+    assert kernel_calls == [2000, 4000]
+    assert vars(doubled) == vars(fresh)
+
+
+def test_volume_widening_stops_at_eight_times_the_paths(kernel_calls):
+    quad = mo.QuadratureSpec(relative_tolerance=1e-3, singular_split_eps0=0.99)
+    with pytest.raises(RuntimeError, match="after widening to 800 paths"):
+        mo.volume_second_moment(sf.SphereModel(2, 3), quad, mc_paths=100, seed=7)
+    assert kernel_calls == [100, 200, 400, 800]
 
 
 def test_leray_integrand_raises_where_q_reaches_one():

@@ -178,7 +178,7 @@ def assert_same_nodal(got, want):
 
 def test_zonal_nodal_line_is_equator(mesh_level5):
     sample = zonal_degree_one()
-    nodal = nd.extract_nodal(sample, mesh_level5)
+    nodal = nd.extract_nodal(sample, mesh_level5, en.eval_many(sample, mesh_level5.vertices))
     assert nodal.total_length == pytest.approx(2 * math.pi, rel=5e-3)
     # all segment endpoints on the equator
     z = np.abs(nodal.segments[:, :, 2])
@@ -187,7 +187,7 @@ def test_zonal_nodal_line_is_equator(mesh_level5):
 
 def test_zonal_leray_closed_form(mesh_level5):
     sample = zonal_degree_one()
-    nodal = nd.extract_nodal(sample, mesh_level5)
+    nodal = nd.extract_nodal(sample, mesh_level5, en.eval_many(sample, mesh_level5.vertices))
     grad = np.linalg.norm(en.eval_gradient_ambient_many(sample, np.array([[1.0, 0.0, 0.0]])))
     assert nd.leray_estimate_line(sample, nodal) == pytest.approx(2 * math.pi / grad, rel=1e-4)
 
@@ -195,7 +195,8 @@ def test_zonal_leray_closed_form(mesh_level5):
 def test_no_sign_change_gives_empty_set():
     basis = en.HarmonicBasis(0)
     sample = en.HarmonicSample(basis=basis, a=np.array([2.0]), scale=1.0)
-    nodal = nd.extract_nodal(sample, ge.icosphere(2))
+    mesh = ge.icosphere(2)
+    nodal = nd.extract_nodal(sample, mesh, en.eval_many(sample, mesh.vertices))
     assert nodal.total_length == 0.0
     assert nodal.segments.shape == (0, 2, 3)
 
@@ -361,11 +362,11 @@ def test_near_singular_detection():
 
 
 def test_coarse_mesh_warns():
-    sample = sample_function(en.HarmonicBasis(40), 2)
     with pytest.warns(UserWarning, match="under-resolved"):
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            nd.extract_nodal(sample, ge.icosphere(3))
+            nd.monte_carlo_experiment(sf.SphereModel(2, 40), 3, samples=2, seed=2,
+                                      mesh=ge.icosphere(3))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -418,7 +419,7 @@ def test_extract_nodal_matches_rowwise_oracle(level, n, request):
     basis_matrix = en.eval_basis_many(en.HarmonicBasis(n), mesh.vertices)
     for seed in range(3):
         sample, values = sample_with_values(n, (level, seed), mesh, basis_matrix)
-        got = nd.extract_nodal(sample, mesh, values=values, check_resolution=False)
+        got = nd.extract_nodal(sample, mesh, values=values)
         assert got.segments.shape[0] > 0
         assert_same_nodal(got, _rowwise_extract(sample, mesh, values))
         assert nd.leray_estimate_line(sample, got) == _rowwise_leray(got)

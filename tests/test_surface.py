@@ -12,6 +12,8 @@ top-level name counts as a mention, so the walk can only over-report.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,20 @@ KEEP = {
     "specfun.hilb_approx": "Hilb's approximation with its error envelope, which acceptance criterion 8 checks",
     "specfun.epsilon_rate": "the decay rate that the singular budget of acceptance criterion 9 tracks",
 }
+
+# (function, parameter, position) that the benchmark's counters in
+# perfbench/spans.py read from call arguments, by position or by name; a
+# rename or a move would zero or break the counter without any error here
+COUNTER_ARGUMENTS = [
+    ("moments.kernel_K", "mc_paths", 1),
+    ("moments.volume_second_moment", "mc_paths", 2),
+    ("ensemble.eval_basis_many", "basis", 0),
+    ("ensemble.eval_gradient_ambient_many", "points", 1),
+    ("specfun.gegenbauer_q", "model", 0),
+    ("specfun.gegenbauer_q", "t", 1),
+    ("specfun.gegenbauer_eval_arrays", "model", 0),
+    ("specfun.gegenbauer_eval_arrays", "t", 1),
+]
 
 # the package __init__ only re-exports
 TREES = {path.stem: ast.parse(path.read_text())
@@ -110,3 +126,13 @@ def test_every_public_name_is_reached_from_the_cli_or_kept():
     assert all(name in public and name not in from_cli for name in KEEP)
     reached = {f"{module}.{name}" for module, name in _reached(KEEP)}
     assert sorted(public - reached - set(KEEP)) == []
+
+
+@pytest.mark.parametrize("function, name, position", COUNTER_ARGUMENTS,
+                         ids=[f"{f}.{name}" for f, name, _ in COUNTER_ARGUMENTS])
+def test_benchmark_counter_arguments_keep_their_place(function, name, position):
+    module, attr = function.split(".")
+    params = list(inspect.signature(
+        getattr(importlib.import_module(f"sphnodal.{module}"), attr)).parameters.values())
+    assert params[position].name == name
+    assert params[position].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
