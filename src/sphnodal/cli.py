@@ -125,6 +125,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for key, value in file_values.items():
             if key == "command":
                 continue
+            if key == "schema_version":  # echoed by every artifact, so a replay carries it
+                if not (_is_int(value) and value == SCHEMA_VERSION):
+                    raise SystemExit(f"error: config schema_version {value!r} is not "
+                                     f"{SCHEMA_VERSION}, the version this program writes")
+                continue
             if key not in vars(cfg):  # fields only, not methods such as as_dict
                 raise SystemExit(f"error: unknown config key {key!r}")
             expected, valid = _FILE_VALUE_CHECKS.get(key, ("an int", _is_int))
@@ -174,8 +179,7 @@ def _cmd_leray_variance(cfg: RunConfig):
     rows = []
     for n in cfg.n:
         model = specfun.SphereModel(cfg.m, n)
-        quad = moments.QuadratureSpec(singular_split_eps0=cfg.eps0)
-        var_quad = moments.leray_variance(model, quad)
+        var_quad = moments.leray_variance(model, cfg.eps0)
         var_asym = moments.leray_variance_asymptotic(model)
         rows.append([cfg.m, n, model.N, var_quad, var_asym, var_quad / var_asym])
     return columns, rows, []
@@ -188,9 +192,7 @@ def _cmd_volume_variance(cfg: RunConfig):
     rows = []
     for n in cfg.n:
         model = specfun.SphereModel(cfg.m, n)
-        quad = moments.QuadratureSpec(relative_tolerance=1e-3,
-                                      singular_split_eps0=cfg.eps0)
-        rep = moments.volume_second_moment(model, quad, mc_paths=cfg.mc_paths,
+        rep = moments.volume_second_moment(model, cfg.eps0, mc_paths=cfg.mc_paths,
                                            seed=cfg.seed)
         rows.append([cfg.m, n, model.N, model.E, rep.expectation,
                      rep.second_moment, rep.variance, rep.theory_asymptotic,

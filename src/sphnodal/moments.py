@@ -27,7 +27,6 @@ from .geometry import sphere_volume
 from .specfun import SphereModel
 
 __all__ = [
-    "QuadratureSpec",
     "MomentReport",
     "leray_expectation",
     "volume_expectation",
@@ -40,21 +39,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution policy for the separation-variable integrals."""
-
-    panels_per_oscillation: int = 8
-    relative_tolerance: float = 1e-10
-    singular_split_eps0: float = 0.9
-
-    def __post_init__(self):
-        if self.panels_per_oscillation < 8:
-            raise ValueError("need at least 8 panels per oscillation")
-        if not (1e-12 <= self.relative_tolerance <= 1e-3):
-            raise ValueError("relative tolerance must lie in [1e-12, 1e-3]")
-        if not (0.0 < self.singular_split_eps0 < 1.0):
-            raise ValueError("eps0 must lie in (0, 1)")
+# Relative bound on the kernel Monte Carlo error of the nonsingular integral;
+# volume_second_moment widens the path count until its error meets it.
+MC_RTOL = 1e-3
 
 
 @dataclass
@@ -72,24 +59,6 @@ class MomentReport:
     mc_std_error: float = 0.0
     mc_paths: int = 0
     seed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.model.m,
-            "n": self.model.n,
-            "N": self.model.N,
-            "E": self.model.E,
-            "expectation": self.expectation,
-            "second_moment": self.second_moment,
-            "variance": self.variance,
-            "theory_asymptotic": self.theory_asymptotic,
-            "ratio": self.ratio,
-            "singular_contribution": self.singular_contribution,
-            "nonsingular_contribution": self.nonsingular_contribution,
-            "mc_std_error": self.mc_std_error,
-            "mc_paths": self.mc_paths,
-            "seed": self.seed,
-        }
 
 
 def leray_expectation(m: int) -> float:
@@ -201,11 +170,11 @@ def _mu_theta_weight(m: int, thetas: np.ndarray) -> np.ndarray:
     return specfun.mu_weight_constant(m) * np.sin(thetas) ** (m - 1)
 
 
-def _nonsingular_nodes(model: SphereModel, quad: QuadratureSpec):
+def _nonsingular_nodes(model: SphereModel, eps0: float):
     """Split angle theta_c, and the panel nodes of [theta_c, pi - theta_c]
     with their dmu weights."""
-    theta_c = _split_theta(model, quad.singular_split_eps0)
-    panels = max(8, quad.panels_per_oscillation * model.n)
+    theta_c = _split_theta(model, eps0)
+    panels = max(8, specfun.PANELS_PER_DEGREE * model.n)
     nodes, weights = specfun._panel_nodes(theta_c, math.pi - theta_c, panels)
     return theta_c, nodes, weights * _mu_theta_weight(model.m, nodes)
 
@@ -225,34 +194,38 @@ def _leray_integrand(model: SphereModel):
     return f
 
 
-def leray_second_moment(model: SphereModel, quad: QuadratureSpec | None = None) -> float:
+def _tips(model: SphereModel, theta_c: float) -> tuple[float, float]:
+    """Integrals of the Leray integrand over the singular tips [0, theta_c]
+    and [pi - theta_c, pi], where it is bounded in theta, from 16 panels."""
+    f = _leray_integrand(model)
+    return (specfun._integrate_theta(f, 0.0, theta_c, 16),
+            specfun._integrate_theta(f, math.pi - theta_c, math.pi, 16))
+
+
+def leray_second_moment(model: SphereModel, eps0: float = 0.9) -> float:
     """(|S^m| / 2 pi) * integral of dmu / sqrt(1 - Q^2) over [-1, 1].
 
-    The bulk is integrated with degree-aware panels; the two endpoint
-    pieces (inside the singular split) are integrated in the theta
-    parameterization, where the integrand is bounded, with refined panels.
+    The bulk between the singular split at level ``eps0`` is integrated with
+    degree-aware panels; the two tips inside it are integrated in the theta
+    parameterization, where the integrand is bounded.
     """
-    quad = quad or QuadratureSpec()
     m, n = model.m, model.n
     if n == 0:
         raise ValueError("second moment needs degree >= 1")
     f = _leray_integrand(model)
-    rtol = quad.relative_tolerance
     if n < 2:
-        total = specfun._integrate_theta(f, 0.0, math.pi, max(16, quad.panels_per_oscillation),
-                                         rtol=rtol)
+        total = specfun._integrate_theta(f, 0.0, math.pi, 16)
     else:
-        theta_c = _split_theta(model, quad.singular_split_eps0)
-        panels = max(8, quad.panels_per_oscillation * n)
-        bulk = specfun._integrate_theta(f, theta_c, math.pi - theta_c, panels, rtol=rtol)
-        tip_lo = specfun._integrate_theta(f, 0.0, theta_c, 16, rtol=rtol)
-        tip_hi = specfun._integrate_theta(f, math.pi - theta_c, math.pi, 16, rtol=rtol)
-        total = bulk + tip_lo + tip_hi
+        theta_c = _split_theta(model, eps0)
+        bulk = specfun._integrate_theta(f, theta_c, math.pi - theta_c,
+                                        max(8, specfun.PANELS_PER_DEGREE * n))
+        lo, hi = _tips(model, theta_c)
+        total = bulk + lo + hi
     return sphere_volume(m) / (2.0 * math.pi) * total
 
 
-def leray_variance(model: SphereModel, quad: QuadratureSpec | None = None) -> float:
-    return leray_second_moment(model, quad) - leray_expectation(model.m) ** 2
+def leray_variance(model: SphereModel, eps0: float = 0.9) -> float:
+    return leray_second_moment(model, eps0) - leray_expectation(model.m) ** 2
 
 
 def leray_variance_asymptotic(model: SphereModel) -> float:
@@ -278,7 +251,7 @@ def leray_variance_asymptotic(model: SphereModel) -> float:
 # Volume second moment (kernel quadrature)
 # ---------------------------------------------------------------------------
 
-def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
+def volume_second_moment(model: SphereModel, eps0: float = 0.9,
                          mc_paths: int = 20000, seed: int = 0) -> MomentReport:
     """Second moment of the nodal volume, |S^m| * integral of K dmu.
 
@@ -291,36 +264,32 @@ def volume_second_moment(model: SphereModel, quad: QuadratureSpec | None = None,
     estimate.  That keeps second_moment >= expectation^2 structurally; the
     split between the measured bulk and the bounded remainder is reported in
     ``nonsingular_contribution`` / ``singular_contribution`` so the budget
-    stays visible.  If the accumulated Monte Carlo error exceeds the
-    quadrature tolerance the path count is doubled, up to three times,
-    before giving up; each widened pass is a fresh ``kernel_K`` call that
+    stays visible.  If the accumulated Monte Carlo error exceeds ``MC_RTOL``
+    times the nonsingular integral, the path count is doubled, up to three
+    times, before giving up; each widened pass is a fresh ``kernel_K`` call that
     redraws every node's stream from its start, so a widened run equals a
     single run at the final path count.  Every node is checked for
     degeneracy before any draw, so the error lists every offending angle.
     """
-    quad = quad or QuadratureSpec(relative_tolerance=1e-3)
     vol = sphere_volume(model.m)
-    theta_c, nodes, weights = _nonsingular_nodes(model, quad)
+    theta_c, nodes, weights = _nonsingular_nodes(model, eps0)
     blocks = covariance.blocks_at(model, nodes)
 
     for paths in (mc_paths, 2 * mc_paths, 4 * mc_paths, 8 * mc_paths):
         vals, errs = kernel_K(blocks, paths, seed)
         nonsing = vol * float(np.dot(weights, vals))
         mc_se = vol * float(np.sqrt(np.sum((weights * errs) ** 2)))
-        if mc_se <= quad.relative_tolerance * abs(nonsing):
+        if mc_se <= MC_RTOL * abs(nonsing):
             break
     else:
         raise RuntimeError(
             f"kernel Monte Carlo error {mc_se:g} still above tolerance "
-            f"{quad.relative_tolerance:g} * {abs(nonsing):g} after widening to {paths} paths"
+            f"{MC_RTOL:g} * {abs(nonsing):g} after widening to {paths} paths"
         )
 
     # singular budget: integrate the kernel bound E/sqrt(1-Q^2) over B^c
-    f_bound = _leray_integrand(model)
-    sing = vol * model.E * (
-        specfun._integrate_theta(f_bound, 0.0, theta_c, 16, rtol=1e-10)
-        + specfun._integrate_theta(f_bound, math.pi - theta_c, math.pi, 16, rtol=1e-10)
-    )
+    lo, hi = _tips(model, theta_c)
+    sing = vol * model.E * (lo + hi)
 
     expectation = volume_expectation(model)
     second_moment = nonsing + sing

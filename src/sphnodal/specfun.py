@@ -42,7 +42,19 @@ __all__ = [
 HILB_ENVELOPE_CONST = 10.0
 HILB_SPLIT_COEFF = 1.0
 
-MOMENT_KINDS = ("Q2", "Q4", "DQ2", "DQ4_weighted", "D2Q2_weighted")
+# moment kind -> its integrand in Q_n, Q_n', Q_n'' and t
+_MOMENT_INTEGRANDS = {
+    "Q2": lambda q, dq, d2q, t: q**2,
+    "Q4": lambda q, dq, d2q, t: q**4,
+    "DQ2": lambda q, dq, d2q, t: dq**2,
+    "DQ4_weighted": lambda q, dq, d2q, t: dq**4 * (1.0 - t * t) ** 2,
+    "D2Q2_weighted": lambda q, dq, d2q, t: d2q**2 * (1.0 - t * t) ** 2,
+}
+MOMENT_KINDS = tuple(_MOMENT_INTEGRANDS)
+
+# Starting panels of the theta quadrature per unit of degree: a panel no
+# wider than pi/(8n) puts 16 Gauss nodes on each oscillation of Q_n.
+PANELS_PER_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -120,8 +132,8 @@ def gegenbauer_eval_arrays(model: SphereModel, t):
     defining ODE (1-t^2) v'' - m t v' + E v = 0 for v''.  At t = +-1 both
     relations degenerate and the ODE limits take over:
 
-        Q_n'(+-1)  = (+-1)^{n+1} ... specifically  E/m at 1, (-1)^{n+1} E/m at -1,
-        Q_n''(+-1) = (+-1)^n (E - m) E / (m (m + 2)).
+        Q_n'(1)  = E/m,                      Q_n'(-1)  = (-1)^{n+1} E/m,
+        Q_n''(1) = (E - m) E / (m (m + 2)),  Q_n''(-1) = (-1)^n (E - m) E / (m (m + 2)).
     """
     t = _check_t(t)
     scalar = t.ndim == 0
@@ -302,8 +314,15 @@ def mu_weight_constant(m: int) -> float:
     return math.exp(math.log(2.0) + (m / 2.0) * math.log(math.pi) - math.lgamma(m / 2.0))
 
 
-def _panel_nodes(a: float, b: float, panels: int, order: int = 8):
-    x, w = np.polynomial.legendre.leggauss(order)
+# panel doublings before the theta quadrature gives up
+_DOUBLINGS = 8
+
+
+def _panel_nodes(a: float, b: float, panels: int):
+    """Nodes and weights of the composite 8-node Gauss-Legendre rule."""
+    # the rule is built here, not at import, so that commands without a
+    # theta quadrature never load numpy.polynomial
+    x, w = np.polynomial.legendre.leggauss(8)
     width = (b - a) / panels
     left = a + width * np.arange(panels)
     nodes = (left[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
@@ -311,52 +330,39 @@ def _panel_nodes(a: float, b: float, panels: int, order: int = 8):
     return nodes, weights
 
 
-def _integrate_theta(f, a: float, b: float, panels: int, rtol: float = 1e-10,
-                     max_doublings: int = 8):
+def _integrate_theta(f, a: float, b: float, panels: int, rtol: float = 1e-10):
     """Composite 8-node Gauss-Legendre with panel doubling to tolerance.
 
     ``f`` maps an array of theta values to integrand values (the measure
-    weight included by the caller).  Raises RuntimeError if ``max_doublings``
-    doublings do not bring two successive values within ``rtol``.
+    weight included by the caller), or to a stack with one row per
+    integrand; the result is a float or an array with one value per row.
+    Each row converges on its own: once two successive levels agree within
+    ``rtol`` it keeps the finer value, the one a one-row call returns.
+    Raises RuntimeError if eight doublings leave a row unconverged.
     """
-    return _integrate_theta_many(lambda nodes, active: lambda k: f(nodes), 1, a, b, panels,
-                                 rtol, max_doublings)[0]
-
-
-def _integrate_theta_many(integrands, count: int, a: float, b: float, panels: int,
-                          rtol: float = 1e-10, max_doublings: int = 8) -> list[float]:
-    """``_integrate_theta`` for ``count`` integrands on shared panel levels.
-
-    ``integrands(nodes, active)`` prepares one panel level for the
-    integrands whose indices are in ``active`` and returns a function that
-    gives integrand k on ``nodes``; each is reduced to its weighted sum
-    before the next is formed, so one integrand array is alive at a time.
-    Each integrand converges on its own: once two successive levels agree
-    within ``rtol`` it keeps the finer value and leaves ``active``, so every
-    value is the one a single-integrand run would return.
-    """
-    values: dict[int, float] = {}
-    active = tuple(range(count))
-    for level in range(max_doublings + 1):
+    for level in range(_DOUBLINGS + 1):
         nodes, weights = _panel_nodes(a, b, panels)
-        integrand = integrands(nodes, active)
-        sums = {k: float(np.dot(weights, integrand(k))) for k in active}
-        del integrand  # frees this level's arrays before the next level builds its own
-        changes = {k: abs(sums[k] - values[k]) for k in active} if level else {}
-        values.update(sums)
-        # "not <=" keeps a NaN change unconverged
-        active = tuple(k for k in active
-                       if not level or not changes[k] <= rtol * max(1.0, abs(sums[k])))
-        if not active:
-            return [values[k] for k in range(count)]
-        if level < max_doublings:
+        # an elementwise product and numpy's own sum, not BLAS ddot, whose
+        # threaded reduction order depends on the thread count; the
+        # integrand is not kept, so it is freed before the next level
+        total = np.sum(weights * f(nodes), axis=-1)
+        sums = np.reshape(total, -1)
+        if not level:
+            values, done = np.empty_like(sums), np.zeros(sums.shape, dtype=bool)
+        else:
+            change = np.abs(sums - previous)
+            # "not <=" keeps a NaN change unconverged
+            fresh = ~done & (change <= rtol * np.maximum(1.0, np.abs(sums)))
+            values[fresh] = sums[fresh]
+            done |= fresh
+            if done.all():
+                return values if np.ndim(total) else float(values[0])
+        previous = sums
+        if level < _DOUBLINGS:
             panels *= 2
-    change = max(changes[k] for k in active)
+    row = int(np.flatnonzero(~done)[np.argmax(change[~done])])
     raise RuntimeError(f"quadrature on [{a:g}, {b:g}] did not converge with {panels} panels: "
-                       f"last change {change:.3g}, rtol {rtol:g}")
-
-
-_DERIVATIVE_KINDS = ("DQ2", "DQ4_weighted", "D2Q2_weighted")
+                       f"last change {change[row]:.3g} (row {row}), rtol {rtol:g}")
 
 
 def moment_integral(model: SphereModel, kind: str | tuple[str, ...]):
@@ -376,32 +382,17 @@ def moment_integral(model: SphereModel, kind: str | tuple[str, ...]):
     m, n = model.m, model.n
     wm = mu_weight_constant(m)
 
-    def integrands(thetas: np.ndarray, active: tuple[int, ...]):
+    def integrands(thetas: np.ndarray) -> np.ndarray:
         t = np.cos(thetas)
+        q, dq, d2q = gegenbauer_eval_arrays(model, t)
         sm = np.sin(thetas) ** (m - 1)
-        if any(kinds[k] in _DERIVATIVE_KINDS for k in active):
-            q, dq, d2q = gegenbauer_eval_arrays(model, t)
-        else:
-            q = gegenbauer_q(model, t)
+        out = np.empty((len(kinds), t.size))
+        for row, k in zip(out, kinds):
+            np.multiply(wm * _MOMENT_INTEGRANDS[k](q, dq, d2q, t), sm, out=row)
+        return out
 
-        def integrand(k: int) -> np.ndarray:
-            if kinds[k] == "Q2":
-                g = q**2
-            elif kinds[k] == "Q4":
-                g = q**4
-            elif kinds[k] == "DQ2":
-                g = dq**2
-            elif kinds[k] == "DQ4_weighted":
-                g = dq**4 * (1.0 - t * t) ** 2
-            else:
-                g = d2q**2 * (1.0 - t * t) ** 2
-            return wm * g * sm
-
-        return integrand
-
-    panels = max(8, 8 * n)
-    values = _integrate_theta_many(integrands, len(kinds), 0.0, math.pi, panels)
-    return values[0] if isinstance(kind, str) else tuple(values)
+    values = _integrate_theta(integrands, 0.0, math.pi, max(8, PANELS_PER_DEGREE * n))
+    return float(values[0]) if isinstance(kind, str) else tuple(map(float, values))
 
 
 def second_moment_closed_form(model: SphereModel) -> float:

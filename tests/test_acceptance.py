@@ -53,18 +53,17 @@ def resolving_level(meshes, n):
 
 @pytest.fixture(scope="module")
 def reference_mc_run(meshes):
-    # the (m=2, n=20, 2000 samples, level 5) run of criterion 5
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # the (m=2, n=20, 2000 samples, level 5) run of criterion 5; level 5
+    # under-resolves n = 20 and must say so.  The autouse filter of
+    # conftest.py does not reach a module-scoped fixture.
+    with pytest.warns(UserWarning, match="under-resolved"):
         return nd.monte_carlo_experiment(sf.SphereModel(2, 20), 5, samples=2000,
                                          seed=7, mesh=meshes(5))
 
 
 @pytest.fixture(scope="module")
 def kernel_reports():
-    quad = mo.QuadratureSpec(relative_tolerance=1e-3)
-    return {n: mo.volume_second_moment(sf.SphereModel(2, n), quad,
-                                       mc_paths=20000, seed=3)
+    return {n: mo.volume_second_moment(sf.SphereModel(2, n), mc_paths=20000, seed=3)
             for n in (10, 20, 40)}
 
 
@@ -166,12 +165,9 @@ def test_criterion_5_volume_expectation(reference_mc_run, meshes):
     # shared draws across levels: streams depend only on (seed, index)
     model = sf.SphereModel(2, 10)
     biases = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for level in (4, 5, 6):
-            r = nd.monte_carlo_experiment(model, level, samples=500, seed=13,
-                                          mesh=meshes(level))
-            biases.append(abs(r.mean_Z - r.theory_EZ))
+    for level in (4, 5, 6):
+        r = nd.monte_carlo_experiment(model, level, samples=500, seed=13, mesh=meshes(level))
+        biases.append(abs(r.mean_Z - r.theory_EZ))
     check("criterion 5: volume expectation by Monte Carlo", [
         (f"mean_Z within 2% of 91.054 (got {100 * mean_err:.2f}%)", mean_err <= 0.02),
         (f"bias shrinks monotonically over levels 4..6 (got {[round(b, 3) for b in biases]})",
@@ -187,15 +183,13 @@ def test_criterion_6_volume_variance_scaling(kernel_reports, meshes):
         quad_vals[n] = rep.variance * math.sqrt(model.N) / model.E
     # Monte Carlo side, meshes fine enough for every degree
     mc_vals = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for n, samples in ((10, 400), (20, 300), (40, 200)):
-            level = resolving_level(meshes, n)
-            rep = nd.monte_carlo_experiment(sf.SphereModel(2, n), level,
-                                            samples=samples, seed=21,
-                                            mesh=meshes(level))
-            model = sf.SphereModel(2, n)
-            mc_vals[n] = rep.var_Z * math.sqrt(model.N) / model.E
+    for n, samples in ((10, 400), (20, 300), (40, 200)):
+        level = resolving_level(meshes, n)
+        rep = nd.monte_carlo_experiment(sf.SphereModel(2, n), level,
+                                        samples=samples, seed=21,
+                                        mesh=meshes(level))
+        model = sf.SphereModel(2, n)
+        mc_vals[n] = rep.var_Z * math.sqrt(model.N) / model.E
     check("criterion 6: volume variance scaling", [
         (f"quadrature var*sqrt(N)/E bounded by 1.5x n=10 value (got {quad_vals})",
          all(quad_vals[n] <= 1.5 * quad_vals[10] for n in (20, 40))),
@@ -314,11 +308,8 @@ def test_criterion_9_kernel_oracles(kernel_reports):
     budget_ok = True
     for n in (20, 40, 80, 160):
         model_n = sf.SphereModel(2, n)
-        theta_c = mo._split_theta(model_n, 0.9)
-        f = mo._leray_integrand(model_n)
-        budget = ge.sphere_volume(2) * model_n.E * (
-            sf._integrate_theta(f, 0.0, theta_c, 16, rtol=1e-10)
-            + sf._integrate_theta(f, math.pi - theta_c, math.pi, 16, rtol=1e-10))
+        lo, hi = mo._tips(model_n, mo._split_theta(model_n, 0.9))
+        budget = ge.sphere_volume(2) * model_n.E * (lo + hi)
         budget_ok &= budget <= 1.5 * fit * model_n.E * sf.epsilon_rate(2, n)
     check("criterion 9: kernel oracles and singular budget", [
         (f"independence case K = E/8 within 3 SE (got {val0:.4f} +- {se0:.4f})",

@@ -130,6 +130,27 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[0][1] == "20"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_artifact_config_replays_byte_for_byte(tmp_path, fmt):
+    code, text = run_cli(["leray-variance", "--n", "3", "--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        echoed = text.splitlines()[0][len("# config: "):]
+    else:
+        echoed = json.dumps(json.loads(text)["config"])
+    cfg = tmp_path / "run.json"
+    cfg.write_text(echoed)
+    assert run_cli(["leray-variance", "--config", str(cfg)]) == (0, text)
+
+
+def test_config_of_another_schema_version_is_refused(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"schema_version": 2, "n": [3]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["leray-variance", "--config", str(cfg)])
+    assert str(exc.value.code).startswith("error: config schema_version 2 is not 1")
+
+
 @pytest.mark.parametrize("values, message", [
     ({"format": "xml"}, "error: config key 'format' must be"),
     ({"samples": "10"}, "error: config key 'samples' must be"),
@@ -233,3 +254,19 @@ def test_sizes_that_leave_no_statistic_are_rejected(args):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+
+
+def _cli_stdout(args, **env):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "sphnodal.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src, **env), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_leray_variance_does_not_depend_on_blas_threads():
+    # from n = 80 the theta panels pass 1e4 nodes, where OpenBLAS splits a
+    # dot product over its threads and so reorders the sum
+    args = ["leray-variance", "--m", "2", "--n", "80,160"]
+    assert (_cli_stdout(args, OPENBLAS_NUM_THREADS="1")
+            == _cli_stdout(args, OPENBLAS_NUM_THREADS="2"))

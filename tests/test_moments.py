@@ -25,7 +25,7 @@ def singular_interval_mass(model, eps0=0.9):
 def sigma_scaling_report(model):
     """Integrals of the spectral norm of S and of its square over the
     nonsingular interval, against dmu."""
-    _, nodes, weights = mo._nonsingular_nodes(model, mo.QuadratureSpec())
+    _, nodes, weights = mo._nonsingular_nodes(model, 0.9)
     blocks = cv.blocks_at(model, nodes)
     sigma = cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale)
     return float(np.dot(weights, sigma)), float(np.dot(weights, sigma**2))
@@ -55,13 +55,10 @@ def test_volume_constant_integral_form():
         assert mo.volume_constant(m) == pytest.approx(alt, rel=1e-10)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        mo.QuadratureSpec(panels_per_oscillation=4)
-    with pytest.raises(ValueError):
-        mo.QuadratureSpec(relative_tolerance=1e-2)
-    with pytest.raises(ValueError):
-        mo.QuadratureSpec(singular_split_eps0=1.0)
+def test_split_level_validation():
+    # find_c0 is the one place that checks eps0
+    with pytest.raises(ValueError, match="eps0 must lie in"):
+        mo.leray_second_moment(sf.SphereModel(2, 10), eps0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +197,14 @@ def test_leray_variance_ratio_converges():
 
 
 def test_leray_quadrature_panel_stability():
+    # the bulk started from twice the panels agrees with the production value
     model = sf.SphereModel(2, 25)
-    v1 = mo.leray_second_moment(model, mo.QuadratureSpec())
-    v2 = mo.leray_second_moment(model, mo.QuadratureSpec(panels_per_oscillation=16))
+    theta_c = mo._split_theta(model, 0.9)
+    bulk = sf._integrate_theta(mo._leray_integrand(model), theta_c, math.pi - theta_c,
+                               16 * model.n)
+    lo, hi = mo._tips(model, theta_c)
+    v1 = mo.leray_second_moment(model)
+    v2 = sphere_volume(2) / (2 * math.pi) * (bulk + lo + hi)
     assert abs(v2 - v1) <= 1e-8 * abs(v1)
 
 
@@ -219,9 +221,8 @@ def test_singular_interval_mass_scaling():
 
 @pytest.fixture(scope="module")
 def volume_reports():
-    quad = mo.QuadratureSpec(relative_tolerance=1e-3)
     return {
-        n: mo.volume_second_moment(sf.SphereModel(2, n), quad, mc_paths=20000, seed=3)
+        n: mo.volume_second_moment(sf.SphereModel(2, n), mc_paths=20000, seed=3)
         for n in (10, 20, 40)
     }
 
@@ -265,8 +266,7 @@ def test_volume_independence_sanity():
 
 def test_volume_second_moment_rejects_degenerate_degree():
     with pytest.raises(cv.DegenerateCovarianceError) as err:
-        mo.volume_second_moment(sf.SphereModel(2, 2), mo.QuadratureSpec(relative_tolerance=1e-3),
-                                mc_paths=2000, seed=0)
+        mo.volume_second_moment(sf.SphereModel(2, 2), mc_paths=2000, seed=0)
     assert "theta" in str(err.value)
     assert "at 128 quadrature nodes" in str(err.value)  # every node, not the first
     assert err.value.eigenvalue == pytest.approx(0.0, abs=1e-12)
@@ -295,8 +295,7 @@ def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys, kernel
 
     monkeypatch.setattr(cv, "omega_matrix", refuse)
     monkeypatch.setattr(cv, "sigma_matrix", refuse)
-    rep = mo.volume_second_moment(sf.SphereModel(2, 10), mo.QuadratureSpec(relative_tolerance=1e-3),
-                                  mc_paths=20000, seed=3)
+    rep = mo.volume_second_moment(sf.SphereModel(2, 10), mc_paths=20000, seed=3)
     # one kernel_K call per Monte Carlo pass; a widened pass draws all its paths afresh
     assert kernel_calls == [20000 * 2**k for k in range(len(kernel_calls))]
     assert kernel_calls[-1] == rep.mc_paths
@@ -308,11 +307,10 @@ def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys, kernel
 
 
 def test_doubled_volume_pass_continues_node_streams(kernel_calls):
-    quad = mo.QuadratureSpec(relative_tolerance=1e-3)
     model = sf.SphereModel(2, 10)
-    fresh = mo.volume_second_moment(model, quad, mc_paths=4000, seed=3)
+    fresh = mo.volume_second_moment(model, mc_paths=4000, seed=3)
     kernel_calls.clear()
-    doubled = mo.volume_second_moment(model, quad, mc_paths=2000, seed=3)
+    doubled = mo.volume_second_moment(model, mc_paths=2000, seed=3)
     # the widened pass restarts every node's stream, so it redraws the first
     # pass's pairs and equals a single run at 4000 paths bit for bit
     assert kernel_calls == [2000, 4000]
@@ -320,9 +318,8 @@ def test_doubled_volume_pass_continues_node_streams(kernel_calls):
 
 
 def test_volume_widening_stops_at_eight_times_the_paths(kernel_calls):
-    quad = mo.QuadratureSpec(relative_tolerance=1e-3, singular_split_eps0=0.99)
     with pytest.raises(RuntimeError, match="after widening to 800 paths"):
-        mo.volume_second_moment(sf.SphereModel(2, 3), quad, mc_paths=100, seed=7)
+        mo.volume_second_moment(sf.SphereModel(2, 3), eps0=0.99, mc_paths=100, seed=7)
     assert kernel_calls == [100, 200, 400, 800]
 
 
@@ -331,12 +328,6 @@ def test_leray_integrand_raises_where_q_reaches_one():
     with pytest.raises(RuntimeError, match="theta = 0"):
         f(np.array([0.5, 0.0, 1.0]))
     assert np.all(f(np.array([0.5, 1.0])) > 0)
-
-
-def test_volume_report_dict_roundtrip(volume_reports):
-    d = volume_reports[10].as_dict()
-    assert d["m"] == 2 and d["n"] == 10 and d["N"] == 21
-    assert d["variance"] == volume_reports[10].variance
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +352,8 @@ def _sigma_scaling_oracle(model):
     # S = I - (m/E) Omega written out entry by entry from the aligned-frame
     # scalars, independent of covariance.omega_matrix and omega_spectrum
     m = model.m
-    quad = mo.QuadratureSpec()
-    theta_c = mo._split_theta(model, quad.singular_split_eps0)
-    nodes, weights = sf._panel_nodes(theta_c, math.pi - theta_c,
-                                     quad.panels_per_oscillation * model.n)
+    theta_c = mo._split_theta(model, 0.9)
+    nodes, weights = sf._panel_nodes(theta_c, math.pi - theta_c, sf.PANELS_PER_DEGREE * model.n)
     weights = weights * sf.mu_weight_constant(m) * np.sin(nodes) ** (m - 1)
     q, dq, d2q = sf.gegenbauer_eval_arrays(model, np.cos(nodes))
     t = np.cos(nodes)

@@ -245,11 +245,11 @@ def _single_kind_moment(model, kind):
 
     panels = max(8, 8 * model.n)
     nodes, weights = sf._panel_nodes(0.0, math.pi, panels)
-    val = float(np.dot(weights, integrand(nodes)))
+    val = float(np.sum(weights * integrand(nodes)))
     for _ in range(8):
         panels *= 2
         nodes, weights = sf._panel_nodes(0.0, math.pi, panels)
-        new = float(np.dot(weights, integrand(nodes)))
+        new = float(np.sum(weights * integrand(nodes)))
         if abs(new - val) <= 1e-10 * max(1.0, abs(new)):
             return new
         val = new
@@ -359,3 +359,41 @@ def test_unconverged_quadrature_raises():
     with pytest.raises(RuntimeError, match="did not converge"):
         sf._integrate_theta(lambda th: np.full_like(th, np.nan), 0.0, math.pi, 3)
 
+
+
+def _counted(f):
+    calls = []
+
+    def g(thetas):
+        calls.append(thetas.size)
+        return f(thetas)
+
+    return g, calls
+
+
+def test_stacked_rows_converge_on_their_own_levels():
+    # the smooth row converges at the first doubling, and its later levels
+    # still move its last bits, so a stack that kept the last level's sums
+    # would not return the one-row value
+    smooth = lambda th: 1.0 / (1.5 + np.cos(th))  # noqa: E731
+    wavy = lambda th: np.cos(30.0 * th) ** 2 * np.sin(th)  # noqa: E731
+    f, smooth_calls = _counted(smooth)
+    alone_smooth = sf._integrate_theta(f, 0.0, math.pi, 3)
+    f, wavy_calls = _counted(wavy)
+    alone_wavy = sf._integrate_theta(f, 0.0, math.pi, 3)
+    assert len(smooth_calls) == 2 < len(wavy_calls)
+    f, stack_calls = _counted(lambda th: np.stack((smooth(th), wavy(th))))
+    together = sf._integrate_theta(f, 0.0, math.pi, 3)
+    assert len(stack_calls) == len(wavy_calls)
+    assert together.tolist() == [alone_smooth, alone_wavy]
+
+
+def test_stacked_unconverged_row_raises_with_its_change():
+    step = lambda th: (th > 1.0).astype(float)  # noqa: E731
+    with pytest.raises(RuntimeError) as alone:
+        sf._integrate_theta(step, 0.0, math.pi, 3, rtol=1e-15)
+    change = str(alone.value).split("last change ")[1].split(" ")[0]
+    with pytest.raises(RuntimeError, match="did not converge") as stacked:
+        sf._integrate_theta(lambda th: np.stack((np.sin(th), step(th))), 0.0, math.pi, 3,
+                            rtol=1e-15)
+    assert f"last change {change} (row 1)" in str(stacked.value)
