@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="degree or comma-separated degree sweep")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--eps0", type=float, default=None,
-                       help="nonsingular split level in (0, 1)")
+                       help="nonsingular split level in (0, 1); read by volume-variance "
+                            "and kernel-profile")
         p.add_argument("--output", dest="output_path", default=None,
                        help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
@@ -179,7 +180,7 @@ def _cmd_leray_variance(cfg: RunConfig):
     rows = []
     for n in cfg.n:
         model = specfun.SphereModel(cfg.m, n)
-        var_quad = moments.leray_variance(model, cfg.eps0)
+        var_quad = moments.leray_variance(model)
         var_asym = moments.leray_variance_asymptotic(model)
         rows.append([cfg.m, n, model.N, var_quad, var_asym, var_quad / var_asym])
     return columns, rows, []

@@ -2,17 +2,19 @@
 Leray measure.
 
 Both second moments reduce to integrals over the separation variable
-t = cos d(x, y) against the pushforward measure dmu.  The Leray one has
-the closed integrand 1/sqrt(1 - Q^2); the volume one needs the two-point
-Kac-Rice kernel
+t = cos d(x, y) against the pushforward measure dmu.  The Leray variance
+has the closed integrand 1/sqrt(1 - Q^2) - 1, bounded on all of [-1, 1] in
+the theta parameterization, and is integrated in one piece.  The volume
+second moment needs the two-point Kac-Rice kernel
 
     K = E_{N(0, Omega)} [ |w_1| |w_2| ] / (2 pi sqrt(1 - u^2)),
 
 which has no closed form for general cross covariance and is estimated by
-seeded Monte Carlo at every quadrature node.  [-1, 1] is split at
-+-(1 - c0/n^2) into a nonsingular bulk, where the kernel is integrated,
-and a singular remainder, where only the bound K <= const * E/sqrt(1-u^2)
-is integrated and reported as a separate budget term.
+seeded Monte Carlo at every quadrature node.  Only this second moment
+splits [-1, 1], at +-(1 - c0/n^2), into a nonsingular bulk, where the
+kernel is integrated, and a singular remainder, where only the bound
+K <= const * E/sqrt(1-u^2) is integrated and reported as a separate budget
+term.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "volume_expectation",
     "volume_constant",
     "kernel_K",
-    "leray_second_moment",
     "leray_variance",
     "leray_variance_asymptotic",
     "volume_second_moment",
@@ -157,29 +158,17 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
 
 
 # ---------------------------------------------------------------------------
-# Leray moments (pure quadrature)
+# Leray variance (pure quadrature)
 # ---------------------------------------------------------------------------
 
-def _split_theta(model: SphereModel, eps0: float) -> float:
-    """Angle theta_c with cos theta_c = 1 - c0/n^2, the singular split."""
-    c0 = specfun.find_c0(model, eps0)
-    return math.acos(max(-1.0, 1.0 - c0 / model.n**2))
-
-
 def _mu_theta_weight(m: int, thetas: np.ndarray) -> np.ndarray:
-    return specfun.mu_weight_constant(m) * np.sin(thetas) ** (m - 1)
-
-
-def _nonsingular_nodes(model: SphereModel, eps0: float):
-    """Split angle theta_c, and the panel nodes of [theta_c, pi - theta_c]
-    with their dmu weights."""
-    theta_c = _split_theta(model, eps0)
-    panels = max(8, specfun.PANELS_PER_DEGREE * model.n)
-    nodes, weights = specfun._panel_nodes(theta_c, math.pi - theta_c, panels)
-    return theta_c, nodes, weights * _mu_theta_weight(model.m, nodes)
+    return sphere_volume(m - 1) * np.sin(thetas) ** (m - 1)
 
 
 def _leray_integrand(model: SphereModel):
+    """dmu (1/sqrt(1 - Q^2) - 1) in theta, written Q^2 / (s (1 + s)) with
+    s = sqrt(1 - Q^2) so that no term cancels.  It is bounded on [0, pi]:
+    1 - Q^2 ~ (E/m) theta^2 at the poles, where dmu ~ theta^(m-1)."""
     m = model.m
 
     def f(thetas: np.ndarray) -> np.ndarray:
@@ -189,43 +178,24 @@ def _leray_integrand(model: SphereModel):
             theta = float(np.asarray(thetas)[w <= 0.0][0])
             raise RuntimeError(f"Leray integrand undefined: 1 - Q_n^2 <= 0 at theta = {theta:g} "
                                f"(m={m}, n={model.n})")
-        return _mu_theta_weight(m, thetas) / np.sqrt(w)
+        s = np.sqrt(w)
+        return _mu_theta_weight(m, thetas) * (q * q / (s * (1.0 + s)))
 
     return f
 
 
-def _tips(model: SphereModel, theta_c: float) -> tuple[float, float]:
-    """Integrals of the Leray integrand over the singular tips [0, theta_c]
-    and [pi - theta_c, pi], where it is bounded in theta, from 16 panels."""
-    f = _leray_integrand(model)
-    return (specfun._integrate_theta(f, 0.0, theta_c, 16),
-            specfun._integrate_theta(f, math.pi - theta_c, math.pi, 16))
+def leray_variance(model: SphereModel) -> float:
+    """(|S^m| / 2 pi) * integral of dmu (1/sqrt(1 - Q^2) - 1) over [-1, 1].
 
-
-def leray_second_moment(model: SphereModel, eps0: float = 0.9) -> float:
-    """(|S^m| / 2 pi) * integral of dmu / sqrt(1 - Q^2) over [-1, 1].
-
-    The bulk between the singular split at level ``eps0`` is integrated with
-    degree-aware panels; the two tips inside it are integrated in the theta
-    parameterization, where the integrand is bounded.
+    This is E[L^2] - E[L]^2 with E[L]^2 = (|S^m| / 2 pi) * mu([-1, 1])
+    subtracted inside the integrand, which is bounded, so one theta
+    quadrature over [0, pi] with degree-aware panels covers it.
     """
-    m, n = model.m, model.n
-    if n == 0:
-        raise ValueError("second moment needs degree >= 1")
-    f = _leray_integrand(model)
-    if n < 2:
-        total = specfun._integrate_theta(f, 0.0, math.pi, 16)
-    else:
-        theta_c = _split_theta(model, eps0)
-        bulk = specfun._integrate_theta(f, theta_c, math.pi - theta_c,
-                                        max(8, specfun.PANELS_PER_DEGREE * n))
-        lo, hi = _tips(model, theta_c)
-        total = bulk + lo + hi
-    return sphere_volume(m) / (2.0 * math.pi) * total
-
-
-def leray_variance(model: SphereModel, eps0: float = 0.9) -> float:
-    return leray_second_moment(model, eps0) - leray_expectation(model.m) ** 2
+    if model.n == 0:
+        raise ValueError("Leray variance needs degree >= 1")
+    total = specfun._integrate_theta(_leray_integrand(model), 0.0, math.pi,
+                                     max(8, specfun.PANELS_PER_DEGREE * model.n))
+    return sphere_volume(model.m) / (2.0 * math.pi) * total
 
 
 def leray_variance_asymptotic(model: SphereModel) -> float:
@@ -250,6 +220,33 @@ def leray_variance_asymptotic(model: SphereModel) -> float:
 # ---------------------------------------------------------------------------
 # Volume second moment (kernel quadrature)
 # ---------------------------------------------------------------------------
+
+def _split_theta(model: SphereModel, eps0: float) -> float:
+    """Angle theta_c with cos theta_c = 1 - c0/n^2, the singular split."""
+    c0 = specfun.find_c0(model, eps0)
+    return math.acos(max(-1.0, 1.0 - c0 / model.n**2))
+
+
+def _nonsingular_nodes(model: SphereModel, eps0: float):
+    """Split angle theta_c, and the panel nodes of [theta_c, pi - theta_c]
+    with their dmu weights."""
+    theta_c = _split_theta(model, eps0)
+    panels = max(8, specfun.PANELS_PER_DEGREE * model.n)
+    nodes, weights = specfun._panel_nodes(theta_c, math.pi - theta_c, panels)
+    return theta_c, nodes, weights * _mu_theta_weight(model.m, nodes)
+
+
+def _tips(model: SphereModel, theta_c: float) -> tuple[float, float]:
+    """Integrals of dmu / sqrt(1 - Q^2) over the singular tips [0, theta_c]
+    and [pi - theta_c, pi], where it is bounded in theta, from 16 panels."""
+    leray = _leray_integrand(model)
+
+    def f(thetas: np.ndarray) -> np.ndarray:
+        return _mu_theta_weight(model.m, thetas) + leray(thetas)
+
+    return (specfun._integrate_theta(f, 0.0, theta_c, 16),
+            specfun._integrate_theta(f, math.pi - theta_c, math.pi, 16))
+
 
 def volume_second_moment(model: SphereModel, eps0: float = 0.9,
                          mc_paths: int = 20000, seed: int = 0) -> MomentReport:
@@ -277,7 +274,7 @@ def volume_second_moment(model: SphereModel, eps0: float = 0.9,
 
     for paths in (mc_paths, 2 * mc_paths, 4 * mc_paths, 8 * mc_paths):
         vals, errs = kernel_K(blocks, paths, seed)
-        nonsing = vol * float(np.dot(weights, vals))
+        nonsing = vol * float(np.sum(weights * vals))
         mc_se = vol * float(np.sqrt(np.sum((weights * errs) ** 2)))
         if mc_se <= MC_RTOL * abs(nonsing):
             break

@@ -7,7 +7,7 @@ orders that show up in the uniform (Hilb-type) approximation of Q_n, and
 the weighted moment integrals of Q_n and its derivatives against the
 pushforward measure
 
-    dmu(t) = (2 pi^{m/2} / Gamma(m/2)) (1 - t^2)^{(m-2)/2} dt
+    dmu(t) = |S^{m-1}| (1 - t^2)^{(m-2)/2} dt,  |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2),
 
 on [-1, 1], whose total mass equals the volume of the m-sphere.
 
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import sphere_volume
+
 __all__ = [
     "SphereModel",
     "gegenbauer_q",
@@ -33,7 +35,6 @@ __all__ = [
     "second_moment_closed_form",
     "find_c0",
     "epsilon_rate",
-    "mu_weight_constant",
 ]
 
 # Envelope constant for the Hilb approximation error bound, fitted once at
@@ -309,11 +310,6 @@ def hilb_approx(model: SphereModel, theta: float):
 # Moment integrals against dmu
 # ---------------------------------------------------------------------------
 
-def mu_weight_constant(m: int) -> float:
-    """Prefactor 2 pi^{m/2} / Gamma(m/2) of the measure dmu."""
-    return math.exp(math.log(2.0) + (m / 2.0) * math.log(math.pi) - math.lgamma(m / 2.0))
-
-
 # panel doublings before the theta quadrature gives up
 _DOUBLINGS = 8
 
@@ -380,7 +376,7 @@ def moment_integral(model: SphereModel, kind: str | tuple[str, ...]):
         if k not in MOMENT_KINDS:
             raise ValueError(f"unknown moment kind {k!r}")
     m, n = model.m, model.n
-    wm = mu_weight_constant(m)
+    wm = sphere_volume(m - 1)
 
     def integrands(thetas: np.ndarray) -> np.ndarray:
         t = np.cos(thetas)

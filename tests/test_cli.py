@@ -243,6 +243,7 @@ def test_mc_verify_reports_under_resolution(level, expected):
     ["volume-variance", "--n", "5", "--mc-paths", "1"],
     ["kernel-profile", "--n", "5", "--theta-points", "3", "--mc-paths", "5"],
     ["mc-verify", "--n", "0", "--mesh-level", "2", "--samples", "3"],
+    ["leray-variance", "--m", "2", "--n", "0"],
 ])
 def test_sizes_that_leave_no_statistic_are_rejected(args):
     # too few samples, paths or angles for a variance, a standard error or a
@@ -270,3 +271,27 @@ def test_leray_variance_does_not_depend_on_blas_threads():
     args = ["leray-variance", "--m", "2", "--n", "80,160"]
     assert (_cli_stdout(args, OPENBLAS_NUM_THREADS="1")
             == _cli_stdout(args, OPENBLAS_NUM_THREADS="2"))
+
+
+def test_volume_variance_does_not_depend_on_blas_threads():
+    # at n = 160 the nonsingular interval holds more than 1e4 quadrature
+    # nodes, so a BLAS dot product of weights and kernel values would be
+    # split over the threads
+    args = ["volume-variance", "--m", "2", "--n", "160", "--mc-paths", "2000", "--seed", "1"]
+    assert (_cli_stdout(args, OPENBLAS_NUM_THREADS="1")
+            == _cli_stdout(args, OPENBLAS_NUM_THREADS="2"))
+
+
+def _data_rows(args):
+    code, text = run_cli(args)
+    assert code == 0
+    return parse_csv(text)[1:]
+
+
+def test_leray_variance_does_not_depend_on_eps0():
+    # the split level belongs to the volume commands; the Leray variance is
+    # one integral over [0, pi], so a level no clipping reaches is harmless
+    default = _data_rows(["leray-variance", "--n", "10"])
+    assert _data_rows(["leray-variance", "--n", "10", "--eps0", "0.2"]) == default
+    assert (_data_rows(["leray-variance", "--n", "10", "--eps0", "0.5"])
+            == _data_rows(["leray-variance", "--n", "10", "--eps0", "0.9"]))

@@ -58,7 +58,7 @@ def test_volume_constant_integral_form():
 def test_split_level_validation():
     # find_c0 is the one place that checks eps0
     with pytest.raises(ValueError, match="eps0 must lie in"):
-        mo.leray_second_moment(sf.SphereModel(2, 10), eps0=1.0)
+        mo.volume_second_moment(sf.SphereModel(2, 10), eps0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_leray_variance_nonnegative():
 
 
 def test_leray_variance_matches_external_oracle():
-    # adaptive quadrature oracle, independent panelization
+    # adaptive quadrature oracle in t, independent panelization
     integrate = pytest.importorskip("scipy.integrate")
     model = sf.SphereModel(2, 10)
 
@@ -170,6 +170,19 @@ def test_leray_variance_matches_external_oracle():
     ref, _ = integrate.quad(integrand, -1, 1, limit=400)
     var = mo.leray_variance(model)
     assert var == pytest.approx(2.0 * ref / (2 * math.pi) * 2 * math.pi, rel=1e-8)
+
+    # m = 3: dmu = |S^2| sqrt(1 - t^2) dt, and the integrand in its
+    # subtracted form Q^2 / (s (1 + s)), s = sqrt(1 - Q^2)
+    model = sf.SphereModel(3, 10)
+
+    def subtracted(t):
+        q = sf.gegenbauer_q(model, t)
+        s = math.sqrt(1 - q * q)
+        return q * q / (s * (1 + s)) * sphere_volume(2) * math.sqrt(1 - t * t)
+
+    ref, _ = integrate.quad(subtracted, -1, 1, limit=400, epsabs=0.0, epsrel=1e-12)
+    assert mo.leray_variance(model) == pytest.approx(sphere_volume(3) / (2 * math.pi) * ref,
+                                                     rel=1e-8)
 
 
 def test_leray_variance_asymptotic_constants():
@@ -197,14 +210,12 @@ def test_leray_variance_ratio_converges():
 
 
 def test_leray_quadrature_panel_stability():
-    # the bulk started from twice the panels agrees with the production value
+    # the single integral started from twice the panels agrees with the
+    # production value
     model = sf.SphereModel(2, 25)
-    theta_c = mo._split_theta(model, 0.9)
-    bulk = sf._integrate_theta(mo._leray_integrand(model), theta_c, math.pi - theta_c,
-                               16 * model.n)
-    lo, hi = mo._tips(model, theta_c)
-    v1 = mo.leray_second_moment(model)
-    v2 = sphere_volume(2) / (2 * math.pi) * (bulk + lo + hi)
+    total = sf._integrate_theta(mo._leray_integrand(model), 0.0, math.pi, 16 * model.n)
+    v1 = mo.leray_variance(model)
+    v2 = sphere_volume(2) / (2 * math.pi) * total
     assert abs(v2 - v1) <= 1e-8 * abs(v1)
 
 
@@ -354,7 +365,7 @@ def _sigma_scaling_oracle(model):
     m = model.m
     theta_c = mo._split_theta(model, 0.9)
     nodes, weights = sf._panel_nodes(theta_c, math.pi - theta_c, sf.PANELS_PER_DEGREE * model.n)
-    weights = weights * sf.mu_weight_constant(m) * np.sin(nodes) ** (m - 1)
+    weights = weights * sphere_volume(m - 1) * np.sin(nodes) ** (m - 1)
     q, dq, d2q = sf.gegenbauer_eval_arrays(model, np.cos(nodes))
     t = np.cos(nodes)
     u, d_long, h_long, h_trans = q, dq * np.sin(nodes), -(1 - t * t) * d2q + t * dq, dq

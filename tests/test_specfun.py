@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphnodal import specfun as sf
+from sphnodal.geometry import sphere_volume
 
 
 def test_sphere_model_derived_quantities():
@@ -234,7 +235,7 @@ def _single_kind_moment(model, kind):
     # one kind at a time, with its own recurrence per level and its own
     # doubling loop: the reference the shared levels must reproduce
     m = model.m
-    wm = sf.mu_weight_constant(m)
+    wm = sphere_volume(m - 1)
 
     def integrand(thetas):
         t = np.cos(thetas)
