@@ -1,9 +1,12 @@
 """Random degree-n eigenfunctions.
 
 On S^2 the sampler expands in a real orthonormal spherical-harmonic basis
-(2n+1 functions) evaluated through stable fully-normalized associated
-Legendre recurrences; the single correctness gate for all of it is the
-addition theorem, which ties the basis back to the two-point function.
+(2n+1 functions).  One evaluator serves values and gradients: the basis is
+taken in solid-harmonic form, a polynomial in z times (x + iy)^k, through
+the fixed-degree recurrence in the order, so a point costs O(n) steps, no
+angle enters and both poles are ordinary points.  The single correctness
+gate for all of it is the addition theorem, which ties the basis back to
+the two-point function.
 For general m a dense Gaussian-field fallback draws jointly correct values
 on small point sets straight from the covariance Q_n(cos d).
 
@@ -33,7 +36,9 @@ __all__ = [
 ]
 
 GAUSSIAN_FIELD_MAX_POINTS = 4000
-_BLOCK = 16384  # points per pass of the Legendre recurrence
+_BLOCK = 16384  # points per pass of the basis recurrence
+# largest degree whose F_k(+-1) stays finite (its peak over k is 1.4e308)
+MAX_DEGREE = 1477
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -67,67 +72,68 @@ class HarmonicSample:
     scale: float
 
 
-def _legendre_orders(n: int, cos_t: np.ndarray, sin_t: np.ndarray):
-    """Yield (k, P-bar_{n,k}) of cos theta for k = 0..n.
-
-    Fully normalized so that the real harmonics built from them are
-    orthonormal on the sphere (the 1/sqrt(4 pi) is folded into P-bar_00).
-    For each order the sectoral seed is climbed first, then degrees ascend
-    to n with two rolling arrays.  Sectorals underflow to zero harmlessly
-    near the poles.
-    """
-    p_kk = np.full(cos_t.shape[0], 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(0, n + 1):
-        if k > 0:
-            p_kk = p_kk * sin_t * math.sqrt((2 * k + 1) / (2.0 * k))
-        if k == n:
-            yield k, p_kk
-            return
-        p_prev = p_kk
-        p_curr = math.sqrt(2 * k + 3.0) * cos_t * p_kk
-        for deg in range(k + 2, n + 1):
-            a = math.sqrt((4.0 * deg * deg - 1.0) / (deg * deg - k * k))
-            b = math.sqrt(((deg - 1.0) ** 2 - k * k) / (4.0 * (deg - 1.0) ** 2 - 1.0))
-            p_prev, p_curr = p_curr, a * (cos_t * p_curr - b * p_prev)
-        yield k, p_curr
-
-
-def _basis_block(n: int, points: np.ndarray) -> np.ndarray:
+def _basis_block(n: int, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Order-major values, shape (2n+1, npts), of the degree-n basis at
-    (npts, 3) unit points.
+    (npts, 3) unit points, written into ``out`` when it is given.
 
-    cos(k phi) and sin(k phi) are advanced by angle addition; points at a
-    pole take their azimuth from phi = 0, where only the k = 0 harmonic
-    survives anyway.
+    The basis is evaluated as solid harmonics: P-bar_{n,k}(cos theta)
+    (cos k phi, sin k phi) = F_k(z) (Re, Im)(x + iy)^k, where
+    F_k = P-bar_{n,k} / sin^k theta is a polynomial in z.  F_n is the
+    sectoral constant and F_{n+1} = 0; the fixed-degree recurrence in the
+    order (DLMF 14.10.1) runs down,
+    F_{k-1} = 2k z F_k / sqrt((n+k)(n-k+1))
+              - sqrt((n+k+1)(n-k) / ((n+k)(n-k+1))) (x^2+y^2) F_{k+1},
+    and sqrt(2) (x + iy)^k is advanced up by complex multiplication.  That is
+    O(n) work per point with no angle, square root or division, so both
+    poles are ordinary points.  F_k is a Gegenbauer polynomial in z, largest
+    at z = +-1, where its peak over k overflows beyond MAX_DEGREE.
     """
-    cos_t = np.clip(points[:, 2], -1.0, 1.0)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    cos_p, sin_p = np.cos(phi), np.sin(phi)
-    ck, sk = np.ones_like(phi), np.zeros_like(phi)  # cos(k phi), sin(k phi)
-    cols = np.empty((2 * n + 1, cos_t.shape[0]))
-    for k, pn in _legendre_orders(n, cos_t, sin_t):
-        if k == 0:
-            cols[n] = pn
-        else:
-            ck, sk = ck * cos_p - sk * sin_p, sk * cos_p + ck * sin_p
-            pn = math.sqrt(2.0) * pn
-            cols[n + k] = pn * ck
-            cols[n - k] = pn * sk
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds {MAX_DEGREE}, the largest whose harmonic basis "
+                         "stays finite in double precision")
+    x, y, z = points.T.copy()  # contiguous rows: each enters n array operations
+    cols = np.empty((2 * n + 1, points.shape[0])) if out is None else out
+    f_n = 1.0 / math.sqrt(4.0 * math.pi)
+    for j in range(1, n + 1):
+        f_n *= math.sqrt((2 * j + 1) / (2.0 * j))
+    # F_k goes to row n+k, and is then scaled in place by the real part
+    cols[2 * n] = f_n
+    rho2 = x * x + y * y
+    tmp = np.empty_like(z)
+    f_up = np.zeros_like(z)  # F_{k+1}
+    for k in range(n, 0, -1):
+        f_k, f_down = cols[n + k], cols[n + k - 1]
+        np.multiply(z, f_k, out=f_down)
+        f_down *= 2 * k / math.sqrt((n + k) * (n - k + 1.0))
+        np.multiply(rho2, f_up, out=tmp)
+        tmp *= math.sqrt((n + k + 1.0) * (n - k) / ((n + k) * (n - k + 1.0)))
+        f_down -= tmp
+        f_up = f_k
+    re, im = np.full_like(z, math.sqrt(2.0)), np.zeros_like(z)
+    im_y = rho2  # reused as scratch
+    for k in range(1, n + 1):
+        np.multiply(re, y, out=tmp)
+        np.multiply(im, y, out=im_y)
+        re *= x
+        re -= im_y
+        im *= x
+        im += tmp
+        np.multiply(cols[n + k], im, out=cols[n - k])
+        cols[n + k] *= re
     return cols
 
 
 def eval_basis_many(basis: HarmonicBasis, points: np.ndarray) -> np.ndarray:
     """Values at an (npts, 3) array of unit points, shape (npts, 2n+1).
 
-    Ordered k = -n..n.  Points are taken in blocks of _BLOCK so the
-    recurrence's arrays stay in cache.
+    Ordered k = -n..n.  The result is the transpose of an order-major
+    array that ``_basis_block`` fills in place, _BLOCK points at a time.
     """
     points = np.asarray(points, float)
-    vals = np.empty((points.shape[0], basis.size))
+    vals = np.empty((basis.size, points.shape[0]))
     for start in range(0, points.shape[0], _BLOCK):
-        vals[start:start + _BLOCK] = _basis_block(basis.n, points[start:start + _BLOCK]).T
-    return vals
+        _basis_block(basis.n, points[start:start + _BLOCK], out=vals[:, start:start + _BLOCK])
+    return vals.T
 
 
 def eval_many(sample: HarmonicSample, points: np.ndarray) -> np.ndarray:

@@ -213,6 +213,26 @@ def test_gradient_pole_handling_in_second_block():
     assert grads[en._BLOCK + 3, 2] == 0.0
 
 
+def _legendre_orders(n, cos_t, sin_t):
+    """Yield (k, P-bar_{n,k}) of cos theta for k = 0..n: per order, the
+    sectoral seed and then the degree climb to n.  Fully normalized, with
+    the 1/sqrt(4 pi) folded into P-bar_00 and no Condon-Shortley phase."""
+    p_kk = np.full(cos_t.shape[0], 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(0, n + 1):
+        if k > 0:
+            p_kk = p_kk * sin_t * math.sqrt((2 * k + 1) / (2.0 * k))
+        if k == n:
+            yield k, p_kk
+            return
+        p_prev = p_kk
+        p_curr = math.sqrt(2 * k + 3.0) * cos_t * p_kk
+        for deg in range(k + 2, n + 1):
+            a = math.sqrt((4.0 * deg * deg - 1.0) / (deg * deg - k * k))
+            b = math.sqrt(((deg - 1.0) ** 2 - k * k) / (4.0 * (deg - 1.0) ** 2 - 1.0))
+            p_prev, p_curr = p_curr, a * (cos_t * p_curr - b * p_prev)
+        yield k, p_curr
+
+
 def _theta_phi_gradient(sample, points):
     """Independent oracle away from the poles, in spherical coordinates: per
     order, d/dtheta and (1/sin) d/dphi of the real harmonics, through the
@@ -223,8 +243,8 @@ def _theta_phi_gradient(sample, points):
     df_dth = np.zeros(len(points))
     df_dphi = np.zeros(len(points))
     s = math.sqrt((2 * n + 1) / (2 * n - 1.0))
-    lower = dict(en._legendre_orders(n - 1, cos_t, sin_t))
-    for k, pn in en._legendre_orders(n, cos_t, sin_t):
+    lower = dict(_legendre_orders(n - 1, cos_t, sin_t))
+    for k, pn in _legendre_orders(n, cos_t, sin_t):
         dpk = n * cos_t * pn
         if k < n:
             dpk = dpk - s * math.sqrt(n * n - k * k) * lower[k]
@@ -246,6 +266,88 @@ def test_ladder_gradient_matches_theta_phi_oracle(n):
     err = np.max(np.abs(en.eval_gradient_ambient_many(sample, pts)
                         - _theta_phi_gradient(sample, pts)))
     assert err <= 1e-12 * math.sqrt(n * (n + 1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_basis_matches_degree_climb_oracle(n):
+    # away from the poles, the order recurrence in (x, y, z) against the
+    # climb in degree from theta and phi
+    pts = unit_points(np.random.default_rng(40 + n), 3000)
+    pts = pts[np.abs(pts[:, 2]) < 0.999]
+    cos_t, phi = pts[:, 2], np.arctan2(pts[:, 1], pts[:, 0])
+    sin_t = np.sqrt(1.0 - cos_t**2)
+    want = np.empty((2 * n + 1, len(pts)))
+    for k, pn in _legendre_orders(n, cos_t, sin_t):
+        if k == 0:
+            want[n] = pn
+        else:
+            want[n + k] = math.sqrt(2.0) * pn * np.cos(k * phi)
+            want[n - k] = math.sqrt(2.0) * pn * np.sin(k * phi)
+    err = np.max(np.abs(en._basis_block(n, pts) - want))
+    assert err <= 1e-13 * math.sqrt((2 * n + 1) / (4 * math.pi))
+
+
+def _solid_harmonic_reference(n, point):
+    """The degree-n basis, order-major, at one float point in 40-digit
+    arithmetic: per order k the degree climb of F_k = P-bar_{n,k}/sin^k
+    from its sectoral constant, in (z, r^2) so that it is the solid
+    harmonic at the point's own x, y, z, times sqrt(2) (Re, Im)(x + iy)^k."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, y, z = (mpmath.mpf(float(c)) for c in point)
+        r2 = x * x + y * y + z * z
+        vals = [mpmath.mpf(0)] * (2 * n + 1)
+        f_kk = 1 / mpmath.sqrt(4 * mpmath.pi)
+        power = mpmath.mpc(1)
+        for k in range(n + 1):
+            if k:
+                f_kk *= mpmath.sqrt(mpmath.mpf(2 * k + 1) / (2 * k))
+                power *= mpmath.mpc(x, y)
+            prev, cur = mpmath.mpf(0), f_kk
+            for deg in range(k + 1, n + 1):
+                a = mpmath.sqrt(mpmath.mpf(4 * deg * deg - 1) / (deg * deg - k * k))
+                b = mpmath.sqrt(mpmath.mpf((deg - 1) ** 2 - k * k) / (4 * (deg - 1) ** 2 - 1))
+                prev, cur = cur, a * (z * cur - b * r2 * prev)
+            if k == 0:
+                vals[n] = cur
+            else:
+                vals[n + k] = mpmath.sqrt(2) * cur * power.real
+                vals[n - k] = mpmath.sqrt(2) * cur * power.imag
+        return np.array([float(v) for v in vals])
+
+
+@pytest.mark.parametrize("n, tol", [(0, 1e-14), (1, 1e-14), (2, 1e-14), (19, 1e-14),
+                                    (40, 1e-14), (160, 1e-13)])
+def test_basis_matches_40_digit_reference(n, tol):
+    # the poles and their neighbourhoods included, where an angle-based
+    # evaluation loses sin theta and phi to rounding
+    thetas = [0.0, 1e-9, 1e-6, 1e-3, 0.05, 1.0, math.pi / 2, math.pi - 1e-5]
+    phis = np.random.default_rng(160 + n).uniform(0.0, 2 * math.pi, len(thetas))
+    pts = np.array([[math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)]
+                    for t, p in zip(thetas, phis)])
+    got = en._basis_block(n, pts)
+    for i, point in enumerate(pts):
+        err = np.max(np.abs(got[:, i] - _solid_harmonic_reference(n, point)))
+        assert err <= tol * math.sqrt((2 * n + 1) / (4 * math.pi)), (thetas[i], err)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 160, en.MAX_DEGREE])
+def test_basis_at_the_poles(n):
+    # only the zonal harmonic survives, at (+-1)^n sqrt((2n+1)/4pi)
+    vals = en._basis_block(n, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    zonal = math.sqrt((2 * n + 1) / (4 * math.pi))
+    assert vals[n] == pytest.approx([zonal, (-1) ** n * zonal], rel=1e-14)
+    assert np.all(np.delete(vals, n, axis=0) == 0.0)
+
+
+def test_basis_degree_limit():
+    # F_k(+-1) overflows past MAX_DEGREE (test_basis_at_the_poles checks the
+    # values at it): refused, not returned as inf or nan
+    pole = np.array([[0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match=str(en.MAX_DEGREE)):
+        en._basis_block(en.MAX_DEGREE + 1, pole)
+    with pytest.raises(ValueError, match=str(en.MAX_DEGREE)):
+        en.eval_basis_many(en.HarmonicBasis(en.MAX_DEGREE + 1), pole)
 
 
 @pytest.mark.parametrize("n", [1, 5, 20])
