@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -137,8 +137,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             if not valid(value):
                 raise SystemExit(f"error: config key {key!r} must be {expected}, got {value!r}")
             setattr(cfg, key, value)
-    for key in ("m", "n", "mesh_level", "samples", "seed", "mc_paths", "eps0",
-                "theta_points", "output_path", "format"):
+    for key in (f.name for f in fields(RunConfig) if f.name != "command"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)

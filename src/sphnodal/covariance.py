@@ -17,8 +17,10 @@ with rho = d_long^2/(1-u^2), and alpha_j = E/m, gamma_j = h_trans for j >= 1.
 Its spectrum alpha_j -+ gamma_j is therefore closed form, and the
 determinant, the degeneracy flag, the spectral norm of the deviation
 S = I - (m/E) Omega and the symmetric square root all follow from it.  The
-assembled Sigma and Omega remain as oracles; the identity
-det Sigma = (1-u^2) det Omega ties the two determinant routes together.
+assembled Sigma stays as the oracle of the identity
+det Sigma = (1-u^2) det Omega, which ties the two determinant routes
+together; Omega itself is assembled only in the tests, as the oracle of its
+spectrum.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import SphereModel, gegenbauer_eval_arrays
+from . import geometry
+from .specfun import SphereModel, gegenbauer_eval_arrays, gegenbauer_q
 
 __all__ = [
     "CovarianceBlocks",
     "DegenerateCovarianceError",
     "blocks_at",
     "sigma_matrix",
-    "omega_matrix",
     "omega_spectrum",
     "degenerate",
     "sigma_norm",
@@ -46,6 +48,8 @@ __all__ = [
 # fraction of the natural scale E/m.
 DEGENERACY_RTOL = 1e-7
 PSD_SLACK_RTOL = 1e-9
+# step of the central differences in finite_difference_blocks
+FD_STEP = 1e-4
 
 
 class DegenerateCovarianceError(ValueError):
@@ -123,29 +127,6 @@ def sigma_matrix(blocks: CovarianceBlocks) -> np.ndarray:
     return sigma
 
 
-def omega_matrix(blocks: CovarianceBlocks) -> np.ndarray:
-    """Reduced 2m x 2m covariance of the gradients given f(x) = f(y) = 0,
-    stacked over theta's shape.
-
-    Schur complement of the A block in Sigma:
-    diagonal blocks (E/m) I - D D^t/(1-u^2), off-diagonal blocks
-    H - u D D^t/(1-u^2).  The sign of the u term is fixed by the exact
-    degree-1 field (f linear in ambient coordinates), where the conditional
-    covariance can be written down directly; it is what makes the matrix
-    positive semidefinite and the determinant identity hold.
-    """
-    m = blocks.model.m
-    rho = _rho(blocks)
-    h = _h_diag(blocks)
-    h[..., 0] -= blocks.u * rho
-    j = np.arange(m)
-    omega = np.zeros(h.shape[:-1] + (2 * m, 2 * m))
-    omega[..., j, j] = omega[..., m + j, m + j] = blocks.scale
-    omega[..., 0, 0] = omega[..., m, m] = blocks.scale - rho
-    omega[..., j, m + j] = omega[..., m + j, j] = h
-    return omega
-
-
 def omega_spectrum(blocks: CovarianceBlocks) -> np.ndarray:
     """Eigenvalues of Omega in closed form, shape theta.shape + (m, 2):
     entry [..., j, :] is the pair (alpha_j - gamma_j, alpha_j + gamma_j) of
@@ -178,23 +159,19 @@ def sigma_norm(eigs: np.ndarray, scale: float) -> np.ndarray:
     return np.abs(1.0 - eigs / scale).max(axis=(-2, -1))
 
 
-def finite_difference_blocks(model: SphereModel, theta: float, h: float = 1e-4):
+def finite_difference_blocks(model: SphereModel, theta: float):
     """Ground-truth (u, d_long, h_long, h_trans) from central differences of
     the two-point function Q(cos d(x, y)) along the aligned-frame directions.
 
-    Pins both the closed forms and the sign conventions; errors are O(h^2)
-    times fourth derivatives of Q, so keep the degree moderate.
+    Pins both the closed forms and the sign conventions; errors are
+    O(FD_STEP^2) times fourth derivatives of Q, so keep the degree moderate.
     """
-    from . import geometry  # deferred: geometry does not depend on us
-
-    m = model.m
+    m, h = model.m, FD_STEP
     pole = geometry.north_pole(m)
     x = math.sin(theta) * np.eye(m + 1)[0] + math.cos(theta) * pole
     frame_x, frame_y = geometry.aligned_frames(x, pole)
 
     def u_of(a, b):
-        from .specfun import gegenbauer_q
-
         return gegenbauer_q(model, float(np.clip(np.dot(a, b), -1.0, 1.0)))
 
     e1x, e1y = frame_x.vectors[0], frame_y.vectors[0]

@@ -7,8 +7,6 @@ the fixed-degree recurrence in the order, so a point costs O(n) steps, no
 angle enters and both poles are ordinary points.  The single correctness
 gate for all of it is the addition theorem, which ties the basis back to
 the two-point function.
-For general m a dense Gaussian-field fallback draws jointly correct values
-on small point sets straight from the covariance Q_n(cos d).
 
 Coefficients come from a counter-based generator (Philox) keyed by the
 caller's seed, so samples replay exactly and independent streams can be
@@ -23,19 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import SphereModel, gegenbauer_q
-
 __all__ = [
     "HarmonicBasis",
     "HarmonicSample",
     "eval_basis_many",
     "eval_many",
     "eval_gradient_ambient_many",
-    "sample_gaussian_field",
     "rng_for",
 ]
 
-GAUSSIAN_FIELD_MAX_POINTS = 4000
 _BLOCK = 16384  # points per pass of the basis recurrence
 # largest degree whose F_k(+-1) stays finite (its peak over k is 1.4e308)
 MAX_DEGREE = 1477
@@ -200,22 +194,3 @@ def eval_gradient_ambient_many(sample: HarmonicSample, points: np.ndarray) -> np
         for c in range(3):
             out[:, c] = g[c] - gx * x[:, c]
     return grads
-
-
-def sample_gaussian_field(model: SphereModel, points: np.ndarray, seed: int) -> np.ndarray:
-    """One joint draw of f at arbitrary points of S^m from the covariance
-    Q_n(cos d(x_i, x_j)), by Cholesky after a 1e-10 diagonal jitter."""
-    points = np.asarray(points, float)
-    k = points.shape[0]
-    if k > GAUSSIAN_FIELD_MAX_POINTS:
-        raise ValueError(f"point set too large for the dense fallback ({k} > {GAUSSIAN_FIELD_MAX_POINTS})")
-    gram = np.clip(points @ points.T, -1.0, 1.0)
-    cov = gegenbauer_q(model, gram) if k > 1 else np.ones((1, 1))
-    cov = np.asarray(cov, float).reshape(k, k)
-    cov[np.diag_indices(k)] = 1.0
-    try:
-        chol = np.linalg.cholesky(cov + 1e-10 * np.eye(k))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance factorization failed even with jitter") from exc
-    z = rng_for(seed).standard_normal(k)
-    return chol @ z

@@ -2,10 +2,9 @@
 
 Everything on the m-sphere reduces to the family Q_n(t), the Gegenbauer
 polynomial with parameter (m-2)/2 rescaled so that Q_n(1) = 1.  This module
-evaluates Q_n and its first two derivatives, Bessel J functions of the
-orders that show up in the uniform (Hilb-type) approximation of Q_n, and
-the weighted moment integrals of Q_n and its derivatives against the
-pushforward measure
+evaluates Q_n and its first two derivatives, the clip of the nonsingular
+interval, and the weighted moment integrals of Q_n and its derivatives
+against the pushforward measure
 
     dmu(t) = |S^{m-1}| (1 - t^2)^{(m-2)/2} dt,  |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2),
 
@@ -28,20 +27,10 @@ __all__ = [
     "SphereModel",
     "gegenbauer_q",
     "gegenbauer_eval_arrays",
-    "bessel_j",
-    "c_tilde",
-    "hilb_approx",
     "moment_integral",
     "second_moment_closed_form",
     "find_c0",
-    "epsilon_rate",
 ]
-
-# Envelope constant for the Hilb approximation error bound, fitted once at
-# (m=2, n=50) and frozen.  The split between the two error regimes sits at
-# theta = HILB_SPLIT_COEFF / n.
-HILB_ENVELOPE_CONST = 10.0
-HILB_SPLIT_COEFF = 1.0
 
 # moment kind -> its integrand in Q_n, Q_n', Q_n'' and t
 _MOMENT_INTEGRANDS = {
@@ -63,14 +52,13 @@ class SphereModel:
     """Degree-n eigenspace on the m-sphere.
 
     Carries the eigenvalue E = n(n+m-1) and the eigenspace dimension N,
-    both computed in exact integer arithmetic, plus alpha = (m-2)/2.
+    both computed in exact integer arithmetic.
     """
 
     m: int
     n: int
     E: int
     N: int
-    alpha: float
 
     def __init__(self, m: int, n: int):
         if m < 2:
@@ -85,7 +73,6 @@ class SphereModel:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "E", n * (n + m - 1))
         object.__setattr__(self, "N", num // den)
-        object.__setattr__(self, "alpha", (m - 2) / 2.0)
 
 
 def _check_t(t):
@@ -167,143 +154,6 @@ def gegenbauer_eval_arrays(model: SphereModel, t):
     if scalar:
         return float(q[0]), float(dq[0]), float(d2q[0])
     return q, dq, d2q
-
-
-# ---------------------------------------------------------------------------
-# Bessel J of integer and half-integer order
-# ---------------------------------------------------------------------------
-
-def _bessel_series(nu: float, x: float, terms: int = 60) -> float:
-    # ascending series sum_k (-1)^k (x/2)^{2k+nu} / (k! Gamma(nu+k+1)),
-    # adequate up to x ~ 12 before alternation starts to eat digits
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    lx = math.log(x / 2.0)
-    total = 0.0
-    for k in range(terms):
-        term = math.exp((2 * k + nu) * lx - math.lgamma(k + 1) - math.lgamma(nu + k + 1))
-        total += -term if k % 2 else term
-        if term < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
-
-
-def _bessel_asymptotic(nu: float, x: float) -> float:
-    # Hankel's large-argument expansion sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = (mu - 1.0) / (8.0 * x)
-    num = 1.0
-    for k in range(1, 10):
-        num *= (mu - (4 * k - 3) ** 2) * (mu - (4 * k - 1) ** 2)
-        term_p = ((-1) ** k) * num / (math.factorial(2 * k) * (8.0 * x) ** (2 * k))
-        p += term_p
-        num_q = num * (mu - (4 * k + 1) ** 2)
-        term_q = ((-1) ** k) * num_q / (math.factorial(2 * k + 1) * (8.0 * x) ** (2 * k + 1))
-        q += term_q
-        if max(abs(term_p), abs(term_q)) < 1e-17:
-            break
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
-
-
-def _spherical_jl(ell: int, x: float) -> float:
-    # j_l with a series fallback where the closed forms cancel
-    if x < 0.05 * (ell + 1) + 0.5:
-        # x^l sum_k (-x^2/2)^k / (k! (2l+2k+1)!!)
-        total = 0.0
-        term = 1.0
-        dfac = 1.0
-        for i in range(1, 2 * ell + 2, 2):
-            dfac *= i
-        term = x**ell / dfac
-        total = term
-        for k in range(1, 40):
-            term *= -(x * x / 2.0) / (k * (2 * ell + 2 * k + 1))
-            total += term
-            if abs(term) < 1e-18 * max(1e-300, abs(total)):
-                break
-        return total
-    j0 = math.sin(x) / x
-    if ell == 0:
-        return j0
-    j1 = math.sin(x) / (x * x) - math.cos(x) / x
-    if ell == 1:
-        return j1
-    jm, j = j0, j1
-    for k in range(1, ell):
-        jm, j = j, (2 * k + 1) / x * j - jm
-    return j
-
-
-def bessel_j(alpha: float, x: float) -> float:
-    """Bessel J_alpha(x) for integer or half-integer alpha >= 0, x >= 0."""
-    two_alpha = 2.0 * alpha
-    if alpha < 0 or abs(two_alpha - round(two_alpha)) > 1e-12:
-        raise ValueError(f"order must be a nonnegative integer or half-integer, got {alpha}")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0.0:
-        return 1.0 if alpha == 0.0 else 0.0
-    if round(two_alpha) % 2 == 1:
-        ell = int(round(alpha - 0.5))
-        return math.sqrt(2.0 * x / math.pi) * _spherical_jl(ell, x)
-    nu = int(round(alpha))
-    if x <= 12.0:
-        return _bessel_series(float(nu), x)
-    if nu <= 1:
-        return _bessel_asymptotic(float(nu), x)
-    # upward recurrence, stable here since x > 12 >= nu for every order we use
-    if nu > x:
-        raise ValueError(f"order {nu} too large for argument {x}")
-    jm = _bessel_asymptotic(0.0, x)
-    j = _bessel_asymptotic(1.0, x)
-    for k in range(1, nu):
-        jm, j = j, 2.0 * k / x * j - jm
-    return j
-
-
-def c_tilde(m: int) -> float:
-    """Inverse of lim_{x->0} J_alpha(x)/x^alpha with alpha = (m-2)/2.
-
-    Equals 2^alpha Gamma(alpha+1); this is the constant matching the
-    Bessel main term to the normalization Q_n(1) = 1.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    alpha = (m - 2) / 2.0
-    return math.exp(alpha * math.log(2.0) + math.lgamma(alpha + 1.0))
-
-
-def hilb_approx(model: SphereModel, theta: float):
-    """Uniform Bessel-type main term for Q_n(cos theta) on (0, pi/2].
-
-    Returns (approx, error_envelope).  After normalization the main term
-    collapses to
-
-        C~ * sqrt(theta/sin theta) * J_alpha(Nh theta) / (Nh sin theta)^alpha
-
-    with Nh = n + (m-1)/2.  The envelope is the two-regime error shape
-    (theta^{1/2} n^{-3/2} away from the pole, theta^{alpha+2} n^alpha
-    inside theta < 1/n) scaled by the frozen module constant.
-    """
-    if not (0.0 < theta <= math.pi / 2.0):
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
-    m, n = model.m, model.n
-    alpha = model.alpha
-    nh = n + (m - 1) / 2.0
-    s = math.sin(theta)
-    approx = (
-        c_tilde(m)
-        * math.sqrt(theta / s)
-        * bessel_j(alpha, nh * theta)
-        / (nh * s) ** alpha
-    )
-    if theta > HILB_SPLIT_COEFF / n:
-        envelope = HILB_ENVELOPE_CONST * math.sqrt(theta) * n ** (-1.5)
-    else:
-        envelope = HILB_ENVELOPE_CONST * theta ** (alpha + 2.0) * n**alpha
-    return approx, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +288,3 @@ def find_c0(model: SphereModel, eps0: float) -> float:
         return base
     k = math.ceil(math.log(c_star / base) / math.log(1.01))
     return base * 1.01**k
-
-
-def epsilon_rate(m: int, n: int) -> float:
-    """Error rate of the nonsingular-interval expansion: log(n)/n^2 for
-    m = 2 and n^{-m} otherwise."""
-    if m < 2 or n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
-    if m == 2:
-        return math.log(n) / (n * n)
-    return float(n) ** (-m)

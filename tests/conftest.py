@@ -6,6 +6,12 @@ import pytest
 
 from sphnodal import ensemble, geometry
 
+# Envelope constant for the Hilb approximation error bound, fitted once at
+# (m=2, n=50) and frozen.  The split between the two error regimes sits at
+# theta = HILB_SPLIT_COEFF / n.
+HILB_ENVELOPE_CONST = 10.0
+HILB_SPLIT_COEFF = 1.0
+
 
 @pytest.fixture(scope="session")
 def mesh_level5():
@@ -57,3 +63,55 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     num = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
     den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
     return 2.0 * np.arctan2(num, den)
+
+
+def c_tilde(m: int) -> float:
+    """Inverse of lim_{x->0} J_alpha(x)/x^alpha with alpha = (m-2)/2.
+
+    Equals 2^alpha Gamma(alpha+1); this is the constant matching the
+    Bessel main term to the normalization Q_n(1) = 1.
+    """
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    alpha = (m - 2) / 2.0
+    return math.exp(alpha * math.log(2.0) + math.lgamma(alpha + 1.0))
+
+
+def hilb_approx(model, theta: float):
+    """Uniform Bessel-type main term for Q_n(cos theta) on (0, pi/2].
+
+    Returns (approx, error_envelope).  After normalization the main term
+    collapses to
+
+        C~ * sqrt(theta/sin theta) * J_alpha(Nh theta) / (Nh sin theta)^alpha
+
+    with alpha = (m-2)/2 and Nh = n + (m-1)/2.  The envelope is the
+    two-regime error shape (theta^{1/2} n^{-3/2} away from the pole,
+    theta^{alpha+2} n^alpha inside theta < 1/n) scaled by the frozen
+    constant.
+    """
+    # a plain import: without scipy the checks that use this fail, not skip
+    from scipy.special import jv
+
+    if not (0.0 < theta <= math.pi / 2.0):
+        raise ValueError(f"theta must lie in (0, pi/2], got {theta}")
+    m, n = model.m, model.n
+    alpha = (m - 2) / 2.0
+    nh = n + (m - 1) / 2.0
+    s = math.sin(theta)
+    approx = c_tilde(m) * math.sqrt(theta / s) * float(jv(alpha, nh * theta)) / (nh * s) ** alpha
+    if theta > HILB_SPLIT_COEFF / n:
+        envelope = HILB_ENVELOPE_CONST * math.sqrt(theta) * n ** (-1.5)
+    else:
+        envelope = HILB_ENVELOPE_CONST * theta ** (alpha + 2.0) * n**alpha
+    return approx, envelope
+
+
+def epsilon_rate(m: int, n: int) -> float:
+    """Error rate of the nonsingular-interval expansion: log(n)/n^2 for
+    m = 2 and n^{-m} otherwise."""
+    if m < 2 or n < 2:
+        raise ValueError("need m >= 2 and n >= 2")
+    if m == 2:
+        return math.log(n) / (n * n)
+    return float(n) ** (-m)

@@ -21,6 +21,8 @@ from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
+from conftest import epsilon_rate, hilb_approx
+
 
 def check(name, conditions):
     failed = [label for label, ok in conditions if not ok]
@@ -283,7 +285,7 @@ def test_criterion_8_moment_scaling_suite():
         for n in (30, 50, 80):
             model = sf.SphereModel(m, n)
             for theta in np.linspace(5.0 / n, math.pi / 2, 120):
-                approx, env = sf.hilb_approx(model, float(theta))
+                approx, env = hilb_approx(model, float(theta))
                 if abs(approx - sf.gegenbauer_q(model, math.cos(theta))) > env:
                     hilb_ok = False
     check("criterion 8: moment scaling suite", scale_ok + [
@@ -304,13 +306,13 @@ def test_criterion_9_kernel_oracles(kernel_reports):
     target5 = 0.75 / math.sqrt(0.75)
 
     fit = kernel_reports[10].singular_contribution / (
-        sf.SphereModel(2, 10).E * sf.epsilon_rate(2, 10))
+        sf.SphereModel(2, 10).E * epsilon_rate(2, 10))
     budget_ok = True
     for n in (20, 40, 80, 160):
         model_n = sf.SphereModel(2, n)
         lo, hi = mo._tips(model_n, mo._split_theta(model_n, 0.9))
         budget = ge.sphere_volume(2) * model_n.E * (lo + hi)
-        budget_ok &= budget <= 1.5 * fit * model_n.E * sf.epsilon_rate(2, n)
+        budget_ok &= budget <= 1.5 * fit * model_n.E * epsilon_rate(2, n)
     check("criterion 9: kernel oracles and singular budget", [
         (f"independence case K = E/8 within 3 SE (got {val0:.4f} +- {se0:.4f})",
          abs(val0 - 0.75) <= 3 * se0),

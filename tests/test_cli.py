@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -119,6 +120,21 @@ def test_json_format():
     assert len(doc["rows"]) == 1
 
 
+# field -> (command, flag, value in the config file, value the flag sets)
+FLAG_OVERRIDES = {
+    "m": ("leray-variance", ["--m", "3"], 2, 3),
+    "n": ("leray-variance", ["--n", "20,30"], [10], [20, 30]),
+    "mesh_level": ("mc-verify", ["--mesh-level", "3"], 4, 3),
+    "samples": ("mc-verify", ["--samples", "7"], 5, 7),
+    "seed": ("leray-variance", ["--seed", "9"], 5, 9),
+    "mc_paths": ("volume-variance", ["--mc-paths", "300"], 200, 300),
+    "eps0": ("kernel-profile", ["--eps0", "0.8"], 0.7, 0.8),
+    "theta_points": ("covariance-check", ["--theta-points", "4"], 3, 4),
+    "output_path": ("leray-variance", ["--output", "b.csv"], "a.csv", "b.csv"),
+    "format": ("leray-variance", ["--format", "json"], "csv", "json"),
+}
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"m": 2, "n": [10], "seed": 5}))
@@ -128,6 +144,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert config["seed"] == 5        # from file
     assert config["n"] == [20]        # flag wins
     assert rows[0][1] == "20"
+    # then every field, one flag each; a field without an entry in
+    # FLAG_OVERRIDES fails here, so a new field gets its flag checked
+    parser = cli._build_parser()
+    for key in (f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"):
+        command, flag, file_value, flag_value = FLAG_OVERRIDES[key]
+        cfg.write_text(json.dumps({key: file_value}))
+        from_file = cli._load_config(parser.parse_args([command, "--config", str(cfg)]))
+        assert getattr(from_file, key) == file_value, key
+        flagged = cli._load_config(parser.parse_args([command, "--config", str(cfg), *flag]))
+        assert getattr(flagged, key) == flag_value, key
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

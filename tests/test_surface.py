@@ -1,32 +1,26 @@
 """The package's public surface stays what the commands use.
 
 Every module's ``__all__`` lists exactly its public module-level functions
-and classes, and every such name is reached from ``cli.py`` or kept below
-for a stated reason.  Reachability walks names through the source with
-``ast``: a top-level definition is reached when cli's module-level code or
-a reached definition mentions it by bare name, through
-``from .module import name``, or as ``module.name`` after
-``from . import module``, imports inside functions included.  What a kept
-name reaches counts as reached too.  A local variable that shares a
-top-level name counts as a mention, so the walk can only over-report.
+and classes, and every such name is reached from ``cli.py``; references that
+only tests compare with live under ``tests/``.  Reachability walks names
+through the source with ``ast``: a top-level definition is reached when
+cli's module-level code or a reached definition mentions it by bare name,
+through ``from .module import name``, or as ``module.name`` after
+``from . import module``, imports inside functions included.  A local
+variable that shares a top-level name counts as a mention, so the walk can
+only over-report.  The package imports nothing beyond the standard library
+and numpy, its one declared dependency.
 """
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import sphnodal
-
-# public names that no command reaches, each with the reason it stays
-KEEP = {
-    "covariance.omega_matrix": "the assembled Omega, oracle of omega_spectrum and the determinant identity",
-    "ensemble.sample_gaussian_field": "the independent sampler that checks the basis sampler and covers m > 2",
-    "specfun.hilb_approx": "Hilb's approximation with its error envelope, which acceptance criterion 8 checks",
-    "specfun.epsilon_rate": "the decay rate that the singular budget of acceptance criterion 9 tracks",
-}
 
 # (function, parameter, position) that the benchmark's counters in
 # perfbench/spans.py read from call arguments, by position or by name; a
@@ -85,16 +79,13 @@ def _relative_imports(tree) -> dict:
     return bound
 
 
-def _reached(kept=()) -> set[tuple[str, str]]:
+def _reached() -> set[tuple[str, str]]:
     """(module, name) of every top-level definition reached from cli's
-    module-level code and from the ``kept`` names."""
+    module-level code."""
     defs = {module: _definitions(tree) for module, tree in TREES.items()}
     imports = {module: _relative_imports(tree) for module, tree in TREES.items()}
     seen = set()
     todo = [("cli", node) for node in TREES["cli"].body]
-    for name in kept:
-        module, attr = name.split(".")
-        todo.append((module, defs[module][attr]))
     while todo:
         module, node = todo.pop()
         for sub in ast.walk(node):
@@ -120,12 +111,22 @@ def test_all_lists_exactly_the_public_functions_and_classes(module):
 
 
 def test_every_public_name_is_reached_from_the_cli_or_kept():
+    # a public name that no command reaches belongs in the tests that use it
     public = {f"{module}.{name}" for module, tree in TREES.items() for name in _public(tree)}
     from_cli = {f"{module}.{name}" for module, name in _reached()}
-    # a kept name that a command starts to use, or that is deleted, leaves the list
-    assert all(name in public and name not in from_cli for name in KEEP)
-    reached = {f"{module}.{name}" for module, name in _reached(KEEP)}
-    assert sorted(public - reached - set(KEEP)) == []
+    assert sorted(public - from_cli) == []
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = set()
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(module, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((module, node.module.split(".")[0]))
+    assert sorted(f"{module}: {name}" for module, name in imported if name not in allowed) == []
 
 
 @pytest.mark.parametrize("function, name, position", COUNTER_ARGUMENTS,
