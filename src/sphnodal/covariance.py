@@ -171,26 +171,20 @@ def finite_difference_blocks(model: SphereModel, theta: float):
     x = math.sin(theta) * np.eye(m + 1)[0] + math.cos(theta) * pole
     frame_x, frame_y = geometry.aligned_frames(x, pole)
 
-    def u_of(a, b):
-        return gegenbauer_q(model, float(np.clip(np.dot(a, b), -1.0, 1.0)))
-
     e1x, e1y = frame_x.vectors[0], frame_y.vectors[0]
     v2x, v2y = frame_x.vectors[1], frame_y.vectors[1]
     step_x = lambda v, s: geometry.sphere_exp(x, v, s)
     step_y = lambda v, s: geometry.sphere_exp(pole, v, s)
 
-    u0 = u_of(x, pole)
-    d_long = (u_of(step_x(e1x, h), pole) - u_of(step_x(e1x, -h), pole)) / (2 * h)
-    h_long = (
-        u_of(step_x(e1x, h), step_y(e1y, h))
-        - u_of(step_x(e1x, h), step_y(e1y, -h))
-        - u_of(step_x(e1x, -h), step_y(e1y, h))
-        + u_of(step_x(e1x, -h), step_y(e1y, -h))
-    ) / (4 * h * h)
-    h_trans = (
-        u_of(step_x(v2x, h), step_y(v2y, h))
-        - u_of(step_x(v2x, h), step_y(v2y, -h))
-        - u_of(step_x(v2x, -h), step_y(v2y, h))
-        + u_of(step_x(v2x, -h), step_y(v2y, -h))
-    ) / (4 * h * h)
+    # the eleven point pairs whose two-point function enters the differences,
+    # evaluated in one recurrence
+    pairs = [(x, pole), (step_x(e1x, h), pole), (step_x(e1x, -h), pole)]
+    for vx, vy in ((e1x, e1y), (v2x, v2y)):
+        pairs += [(step_x(vx, sx), step_y(vy, sy)) for sx in (h, -h) for sy in (h, -h)]
+    u = gegenbauer_q(model, np.clip([np.dot(a, b) for a, b in pairs], -1.0, 1.0)).tolist()
+
+    u0 = u[0]
+    d_long = (u[1] - u[2]) / (2 * h)
+    h_long = (u[3] - u[4] - u[5] + u[6]) / (4 * h * h)
+    h_trans = (u[7] - u[8] - u[9] + u[10]) / (4 * h * h)
     return u0, d_long, h_long, h_trans

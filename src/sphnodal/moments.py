@@ -10,16 +10,19 @@ second moment needs the two-point Kac-Rice kernel
     K = E_{N(0, Omega)} [ |w_1| |w_2| ] / (2 pi sqrt(1 - u^2)),
 
 which has no closed form for general cross covariance and is estimated by
-seeded Monte Carlo at every quadrature node.  Only this second moment
-splits [-1, 1], at +-(1 - c0/n^2), into a nonsingular bulk, where the
-kernel is integrated, and a singular remainder, where only the bound
-K <= const * E/sqrt(1-u^2) is integrated and reported as a separate budget
-term.
+seeded Monte Carlo at every quadrature node.  The nodes are split over the
+usable CPUs, and the estimate does not depend on their number.  Only this
+second moment splits [-1, 1], at +-(1 - c0/n^2), into a nonsingular bulk,
+where the kernel is integrated, and a singular remainder, where only the
+bound K <= const * E/sqrt(1-u^2) is integrated and reported as a separate
+budget term.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +102,14 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
     and does not depend on evaluation order.  Every call draws each stream
     from its start, so a call with more paths redraws the pairs of a call
     with fewer and continues past them.
+
+    The nodes are split into contiguous shares, one per usable CPU and at
+    most one per node; the calling thread runs the first share and a
+    thread each of the others.  The draws, which take most of the time,
+    release the interpreter lock, so the shares overlap.  Each node's
+    arithmetic is the same in every share, so values and errors are the
+    same bit for bit at any CPU count.  An error in any share is raised
+    here after every share has ended.
     """
     if mc_paths < 4:
         raise ValueError(f"kernel Monte Carlo needs at least 4 paths (two antithetic "
@@ -122,16 +133,48 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
     roots = np.sqrt(eigs)
     p = 0.5 * (roots[..., 1] + roots[..., 0]).reshape(-1, m)
     q = 0.5 * (roots[..., 1] - roots[..., 0]).reshape(-1, m)
-    j = np.arange(m)
-    root = np.zeros((2 * m, 2 * m))
     pairs = mc_paths // 2
     means = np.empty(len(p))
     sds = np.empty(len(p))
+    # shares of contiguous nodes, which write disjoint slots of means and sds
+    shares = max(1, min(_usable_cpus(), len(p)))
+    bounds = [len(p) * k // shares for k in range(shares + 1)]
+    failures = [None] * shares
+
+    def run(share: int) -> None:
+        try:
+            _kernel_nodes(p, q, pairs, seed, bounds[share], bounds[share + 1], means, sds)
+        except BaseException as exc:  # raised in the caller after the join
+            failures[share] = exc
+
+    helpers = [threading.Thread(target=run, args=(share,)) for share in range(1, shares)]
+    for helper in helpers:
+        helper.start()
+    run(0)
+    for helper in helpers:
+        helper.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    denom = 2.0 * math.pi * np.sqrt(1.0 - np.asarray(blocks.u) ** 2)
+    shape = bad.shape
+    return means.reshape(shape) / denom, sds.reshape(shape) / math.sqrt(pairs) / denom
+
+
+def _kernel_nodes(p: np.ndarray, q: np.ndarray, pairs: int, seed: int, lo: int, hi: int,
+                  means: np.ndarray, sds: np.ndarray) -> None:
+    """Pair-mean statistics of |w_1||w_2| at nodes lo..hi-1, into means and
+    sds.  It runs on helper threads, so it calls numpy and private helpers
+    only: the benchmark's span recorder wraps the public functions and is
+    not thread-safe."""
+    m = p.shape[1]
+    j = np.arange(m)
+    root = np.zeros((2 * m, 2 * m))
     z = np.empty((pairs, 2 * m))
     w = np.empty_like(z)
     prod = np.empty(pairs)
     other = np.empty(pairs)
-    for i in range(len(p)):
+    for i in range(lo, hi):
         root[j, j] = root[m + j, m + j] = p[i]
         root[j, m + j] = root[m + j, j] = q[i]
         bits = np.random.Philox(np.random.SeedSequence(_node_seed(seed, i)))
@@ -152,9 +195,14 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
         # the pair mean is the value itself
         means[i] = np.mean(prod)
         sds[i] = np.std(prod, ddof=1)
-    denom = 2.0 * math.pi * np.sqrt(1.0 - np.asarray(blocks.u) ** 2)
-    shape = bad.shape
-    return means.reshape(shape) / denom, sds.reshape(shape) / math.sqrt(pairs) / denom
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,23 @@ def _q_pair(model: SphereModel, t: np.ndarray):
 
     which keeps every iterate in [-1, 1] (no overflow at any degree) and
     makes Q_k(1) = 1 hold identically: at t = 1 the coefficients sum to
-    (k+m-2)/(k+m-2).
+    (k+m-2)/(k+m-2).  Each step overwrites Q_{k-2} with Q_k in the same
+    operation order as that formula, so no step allocates and the values
+    are those of the allocating form bit for bit.
     """
     m, n = model.m, model.n
     if n == 0:
         return np.ones_like(t), np.zeros_like(t)
     q_prev = np.ones_like(t)   # Q_0
     q = np.array(t, copy=True)  # Q_1
+    tmp = np.empty_like(q)
     for k in range(2, n + 1):
-        q, q_prev = ((2 * k + m - 3) * t * q - (k - 1) * q_prev) / (k + m - 2), q
+        np.multiply(2 * k + m - 3, t, out=tmp)
+        tmp *= q
+        q_prev *= k - 1
+        np.subtract(tmp, q_prev, out=q_prev)
+        q_prev /= k + m - 2
+        q, q_prev = q_prev, q
     return q, q_prev
 
 

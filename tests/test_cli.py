@@ -308,6 +308,31 @@ def test_volume_variance_does_not_depend_on_blas_threads():
             == _cli_stdout(args, OPENBLAS_NUM_THREADS="2"))
 
 
+def _cli_stdout_on_cpus(cpus, args):
+    # the child narrows its own affinity, if asked, before the package loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from sphnodal import cli\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, cpus, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform cannot narrow a process's CPUs")
+@pytest.mark.parametrize("args", [
+    ["volume-variance", "--n", "10", "--mc-paths", "2000", "--seed", "1"],
+    ["kernel-profile", "--n", "8", "--theta-points", "20", "--mc-paths", "400", "--seed", "2"],
+], ids=["volume-variance", "kernel-profile"])
+def test_kernel_commands_do_not_depend_on_the_cpu_count(args):
+    # kernel_K splits its nodes over the usable CPUs
+    assert _cli_stdout_on_cpus("one", args) == _cli_stdout_on_cpus("all", args)
+
+
 def _data_rows(args):
     code, text = run_cli(args)
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -135,6 +136,65 @@ def test_kernel_matches_norm_loop(m, n):
     want_values, want_errs = _norm_kernel(blocks, 2000, seed=5)
     assert np.array_equal(values, want_values)
     assert np.array_equal(errs, want_errs)
+
+
+SHARE_RECORDS = {
+    "2x3": np.linspace(0.4, 2.6, 6).reshape(2, 3),
+    "3 nodes": np.array([0.5, 1.3, 2.2]),
+    "scalar": 1.1,
+}
+
+
+@pytest.mark.parametrize("record", sorted(SHARE_RECORDS))
+@pytest.mark.parametrize("m, n", [(2, 9), (3, 7)])
+def test_kernel_does_not_depend_on_the_cpu_count(monkeypatch, m, n, record):
+    # the 3-node record and the scalar have fewer nodes than some counts
+    # give shares, so those counts are capped at the node count
+    blocks = cv.blocks_at(sf.SphereModel(m, n), SHARE_RECORDS[record])
+    results = {}
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(mo, "_usable_cpus", lambda: cpus)
+        results[cpus] = mo.kernel_K(blocks, 400, seed=6)
+    values, errs = results[1]
+    assert np.shape(values) == np.shape(SHARE_RECORDS[record])
+    for cpus in (2, 3, 4):
+        assert np.array_equal(results[cpus][0], values)
+        assert np.array_equal(results[cpus][1], errs)
+
+
+@pytest.mark.parametrize("cpus, theta", [(1, np.linspace(0.4, 2.6, 6)), (4, 1.1)])
+def test_kernel_starts_no_thread_for_one_share(monkeypatch, cpus, theta):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(mo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(mo.threading, "Thread", no_thread)
+    mo.kernel_K(cv.blocks_at(sf.SphereModel(2, 9), theta), 400, seed=6)
+
+
+@pytest.mark.parametrize("node", [0, 5], ids=["first share", "last share"])
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_kernel_raises_an_error_of_any_share(monkeypatch, cpus, node):
+    # of the six nodes, node 0 lies in the caller's share and node 5 in the
+    # last helper's at every count
+    blocks = cv.blocks_at(sf.SphereModel(2, 9), np.linspace(0.4, 2.6, 6).reshape(2, 3))
+    failing = mo._node_seed(6, node)
+    philox = np.random.Philox
+
+    def flaky(seed):
+        if seed.entropy == failing:
+            raise RuntimeError(f"draw failed at node {node}")
+        return philox(seed)
+
+    monkeypatch.setattr(mo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(np.random, "Philox", flaky)
+    threads = threading.active_count()
+    result = None
+    with pytest.raises(RuntimeError, match=f"draw failed at node {node}"):
+        result = mo.kernel_K(blocks, 400, seed=6)
+    assert result is None
+    # every helper was joined before the error reached the caller
+    assert threading.active_count() == threads
 
 
 def test_kernel_deterministic():

@@ -58,6 +58,32 @@ def test_q_domain_error():
         sf.gegenbauer_q(sf.SphereModel(2, 3), 1.2)
 
 
+def _allocating_q_pair(model, t):
+    # the recurrence as it stood with a fresh array per step
+    m, n = model.m, model.n
+    if n == 0:
+        return np.ones_like(t), np.zeros_like(t)
+    q_prev = np.ones_like(t)
+    q = np.array(t, copy=True)
+    for k in range(2, n + 1):
+        q, q_prev = ((2 * k + m - 3) * t * q - (k - 1) * q_prev) / (k + m - 2), q
+    return q, q_prev
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 640])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("shape", [(), (41,), (6, 7)], ids=["scalar", "1d", "2d"])
+def test_in_place_recurrence_matches_allocating_form(m, n, shape):
+    size = math.prod(shape)
+    t = np.cos(np.linspace(0.0, math.pi, size) + 0.01).reshape(shape)
+    model = sf.SphereModel(m, n)
+    got = sf._q_pair(model, t)
+    want = _allocating_q_pair(model, t)
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b) == shape
+        assert np.array_equal(a, b)
+
+
 def test_large_degree_does_not_overflow():
     q = sf.gegenbauer_q(sf.SphereModel(2, 10**5), 0.37)
     assert abs(q) <= 1.0 + 1e-12

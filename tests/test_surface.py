@@ -9,13 +9,15 @@ through ``from .module import name``, or as ``module.name`` after
 ``from . import module``, imports inside functions included.  A local
 variable that shares a top-level name counts as a mention, so the walk can
 only over-report.  The package imports nothing beyond the standard library
-and numpy, its one declared dependency.
+and numpy, its one declared dependency, and its public functions are called
+only from the thread that runs the command.
 """
 
 import ast
 import importlib
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -137,3 +139,37 @@ def test_benchmark_counter_arguments_keep_their_place(function, name, position):
         getattr(importlib.import_module(f"sphnodal.{module}"), attr)).parameters.values())
     assert params[position].name == name
     assert params[position].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_package_functions_run_on_the_calling_thread(monkeypatch, capsys):
+    # perfbench/spans.py wraps the same functions with one span stack that is
+    # not thread-safe, so kernel_K's helper threads must call none of them
+    modules = [importlib.import_module(f"sphnodal.{module}") for module in sorted(TREES)]
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for module in modules:
+        for name, fn in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                wrappers[id(fn)] = recording(f"{module.__name__}.{name}", fn)
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[id(value)])
+    # three shares, so that helper threads run on any machine
+    monkeypatch.setattr(importlib.import_module("sphnodal.moments"), "_usable_cpus", lambda: 3)
+    cli = importlib.import_module("sphnodal.cli")
+    assert cli.main(["volume-variance", "--n", "10", "--mc-paths", "2000", "--seed", "1"]) == 0
+    assert cli.main(["kernel-profile", "--n", "8", "--theta-points", "20",
+                     "--mc-paths", "400", "--seed", "2"]) == 0
+    capsys.readouterr()
+    assert "sphnodal.moments.kernel_K" in {name for name, _ in calls}
+    assert sorted({name for name, thread in calls
+                   if thread is not threading.current_thread()}) == []
