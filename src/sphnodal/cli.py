@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import covariance, moments, nodal, specfun
+from . import covariance, geometry, moments, nodal, specfun
 
 __all__ = ["RunConfig", "main", "render"]
 
@@ -207,9 +207,11 @@ def _cmd_mc_verify(cfg: RunConfig):
                "theory_EZ", "theory_EL", "theory_varL",
                "ratio_Z", "ratio_L", "ratio_varL", "excluded"]
     rows = []
+    mesh = geometry.icosphere(cfg.mesh_level)  # one mesh serves every degree
     for n in cfg.n:
         model = specfun.SphereModel(cfg.m, n)
-        rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples, cfg.seed)
+        rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples, cfg.seed,
+                                           mesh=mesh)
         d = rep.as_dict()
         rows.append([d[c] for c in columns])
     return columns, rows, []

@@ -144,39 +144,96 @@ def _unit_rows(p: np.ndarray) -> np.ndarray:
     return p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
 
 
-def _edge_midpoints(faces: np.ndarray, nverts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex numbers of each face's ab, bc and ca midpoints, shape (T, 3),
-    and the two end points of each new midpoint's edge.
-
-    Directed edges ab, bc, ca are listed face by face; each new midpoint is
-    numbered from ``nverts`` by its edge's first appearance in this list.
-    """
+def _base_twins(faces: np.ndarray) -> np.ndarray:
+    """Twin slot of every slot of a closed mesh whose faces all turn the
+    same way, so that a neighbour lists each shared edge reversed.  Slot
+    3f+e is edge e of face f (ab, bc, ca).  Used once, on the base faces."""
     tail = faces.reshape(-1)
     head = np.roll(faces, -1, axis=1).reshape(-1)
-    key = np.minimum(tail, head) * nverts + np.maximum(tail, head)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    new = first[order]
-    return nverts + rank[inverse].reshape(-1, 3), tail[new], head[new]
+    slot = {(int(t), int(h)): s for s, (t, h) in enumerate(zip(tail, head))}
+    return np.array([slot[int(h), int(t)] for t, h in zip(tail, head)], dtype=np.int64)
 
 
-def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One level: every face split into four at its edge midpoints.  The
-    edge bookkeeping is freed before the new arrays are built, and the rest
-    on return."""
-    mids, ends0, ends1 = _edge_midpoints(faces, vertices.shape[0])
-    vertices = np.vstack([vertices, _unit_rows(vertices[ends0] + vertices[ends1])])
-    a, b, c = faces.T
-    ab, bc, ca = mids.T
-    return vertices, np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+def _child_twins(twins: np.ndarray) -> np.ndarray:
+    """Twin slots after one subdivision, in closed form from the parent's.
+
+    Face f's children are 4f+e for e = 0, 1, 2 (at corner e) and 4f+3 (the
+    inner face).  Child e holds the first half of edge e at slot 0, an inner
+    edge at slot 1 and the second half of edge e-1 at slot 2; child 3 holds
+    the three inner edges.  The neighbour g runs the shared edge the other
+    way, so the first half of f's edge is the second half of g's.
+    """
+    f = np.arange(twins.size // 3)[:, None]
+    g, eg = np.divmod(twins.reshape(-1, 3), 3)
+    e = np.arange(3)
+    out = np.empty((f.size, 4, 3), dtype=np.int64)
+    out[:, e, 0] = 12 * g + 3 * ((eg + 1) % 3) + 2
+    out[:, (e + 1) % 3, 2] = 12 * g + 3 * eg
+    out[:, e, 1] = 12 * f + 9 + (e + 2) % 3
+    out[:, 3, (e + 2) % 3] = 12 * f + 3 * e + 1
+    return out.reshape(-1)
+
+
+def _first_slots(faces: np.ndarray, twins: np.ndarray):
+    """Slots where an edge first appears in slot order (slot < twin), with
+    each one's tail and head vertex."""
+    new = np.flatnonzero(np.arange(twins.size) < twins)
+    flat = faces.reshape(-1)
+    return new, flat[new], flat[new + np.where(new % 3 == 2, -2, 1)]
+
+
+def _midpoint_numbers(twins: np.ndarray, new: np.ndarray, nverts: int) -> np.ndarray:
+    """Vertex number of each slot's midpoint: ``nverts`` plus the count of
+    first appearances before its edge's own, shape (T, 3)."""
+    mids = np.empty(twins.size, dtype=np.int64)
+    mids[new] = np.arange(nverts, nverts + new.size)
+    later = np.flatnonzero(np.arange(twins.size) > twins)
+    mids[later] = mids[twins[later]]
+    return mids.reshape(-1, 3)
+
+
+def _split_faces(faces: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Face (a, b, c) with midpoints (ab, bc, ca) split into (a, ab, ca),
+    (b, bc, ab), (c, ca, bc) and (ab, bc, ca), in that order."""
+    out = np.empty((faces.shape[0], 4, 3), dtype=np.int64)
+    out[:, :3, 0] = faces          # a, b, c
+    out[:, :3, 1] = mids           # ab, bc, ca
+    out[:, 0, 2] = mids[:, 2]      # ca, then ab, bc
+    out[:, 1:3, 2] = mids[:, :2]
+    out[:, 3] = mids
+    return out.reshape(-1, 3)
+
+
+def _min_edge_dot(vertices: np.ndarray, edges) -> float:
+    """Smallest end-point dot product over ``edges``, pairs of vertex index
+    arrays or slices.  Each dot is summed x, y, z in index order, as
+    np.sum(a * b, axis=1) sums a row, from contiguous coordinate columns."""
+    x, y, z = np.ascontiguousarray(vertices.T)
+    min_dot = math.inf
+    for i, j in edges:
+        dots = x[i] * x[j]
+        dots += y[i] * y[j]
+        dots += z[i] * z[j]
+        min_dot = min(min_dot, float(dots.min()))
+    return min_dot
 
 
 def icosphere(subdivisions: int) -> IcoMesh:
     """Icosahedron subdivided ``subdivisions`` times, vertices on the unit
     sphere.  Triangle count is 20 * 4^subdivisions; levels above 9 are
-    refused as a memory guard."""
+    refused as a memory guard.
+
+    Edges are tracked by twin slots: slot 3f+e is edge e (ab, bc, ca) of
+    face f, and its twin is the slot of the same edge in the neighbouring
+    face.  The twins of the base faces are found once and each subdivision
+    gives its children's in closed form, so no level sorts its edges.  A
+    slot is its edge's first appearance exactly when slot < twin, and the
+    midpoints are numbered in that order.  ``edge_length_max`` measures
+    each edge of the final mesh once: the three inner edges of every face
+    of the last level's parent, and both halves of each parent edge at its
+    first appearance.  Each level's bookkeeping is freed before the next
+    level's arrays are built.
+    """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
     if subdivisions > 9:
@@ -184,18 +241,27 @@ def icosphere(subdivisions: int) -> IcoMesh:
 
     vertices = _unit_rows(_ICO_VERTS)
     faces = _ICO_FACES.copy()
+    twins = _base_twins(faces)
+    if subdivisions == 0:
+        _, tail, head = _first_slots(faces, twins)
+        min_dot = _min_edge_dot(vertices, ((tail, head),))
+    for level in range(subdivisions):
+        nv = vertices.shape[0]
+        new, tail, head = _first_slots(faces, twins)
+        mids = _midpoint_numbers(twins, new, nv)
+        del new
+        last = level == subdivisions - 1
+        twins = None if last else _child_twins(twins)
+        vertices = np.vstack([vertices, _unit_rows(vertices[tail] + vertices[head])])
+        if last:
+            ab, bc, ca = mids.T
+            middle = slice(nv, None)  # the new vertices, in first-appearance order
+            min_dot = _min_edge_dot(vertices, ((ab, bc), (bc, ca), (ca, ab),
+                                               (tail, middle), (middle, head)))
+        del tail, head
+        faces = _split_faces(faces, mids)
+        del mids
 
-    for _ in range(subdivisions):
-        vertices, faces = _subdivide(vertices, faces)
-
-    # the longest edge has the smallest end-point dot product; each dot is
-    # summed x, y, z in index order, as np.sum(a * b, axis=1) sums a row
-    min_dot = math.inf
-    for tail, head in ((0, 1), (1, 2), (2, 0)):
-        i, j = faces[:, tail], faces[:, head]
-        dots = vertices[i, 0] * vertices[j, 0]
-        dots += vertices[i, 1] * vertices[j, 1]
-        dots += vertices[i, 2] * vertices[j, 2]
-        min_dot = min(min_dot, float(dots.min()))
+    # the longest edge has the smallest end-point dot product
     edge_max = float(np.arccos(np.clip(min_dot, -1.0, 1.0)))
     return IcoMesh(vertices=vertices, triangles=faces, edge_length_max=edge_max)

@@ -237,12 +237,14 @@ def leray_variance(model: SphereModel) -> float:
 
     This is E[L^2] - E[L]^2 with E[L]^2 = (|S^m| / 2 pi) * mu([-1, 1])
     subtracted inside the integrand, which is bounded, so one theta
-    quadrature over [0, pi] with degree-aware panels covers it.
+    quadrature with degree-aware panels covers it.  The integrand depends
+    on Q_n^2 and so is even about theta = pi/2: only [0, pi/2] is
+    integrated.
     """
     if model.n == 0:
         raise ValueError("Leray variance needs degree >= 1")
-    total = specfun._integrate_theta(_leray_integrand(model), 0.0, math.pi,
-                                     max(8, specfun.PANELS_PER_DEGREE * model.n))
+    total = specfun._integrate_even_theta(_leray_integrand(model),
+                                          max(8, specfun.PANELS_PER_DEGREE * model.n))
     return sphere_volume(model.m) / (2.0 * math.pi) * total
 
 

@@ -136,7 +136,8 @@ def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     # of the reduction inside np.linalg.norm, so the bits match the
     # row-wise norm and dot-product forms
     tri = mesh.triangles
-    s0, s1, s2 = (vals[tri[:, c]] > 0.0 for c in range(3))
+    pos = vals > 0.0  # each vertex compared once, then gathered per column
+    s0, s1, s2 = (pos[tri[:, c]] for c in range(3))
     crossed = np.flatnonzero((s0 != s1) | (s0 != s2))
     if crossed.size == 0:
         return NodalSet(segments=np.empty((0, 2, 3)), lengths=np.empty(0),

@@ -219,13 +219,24 @@ def _integrate_theta(f, a: float, b: float, panels: int, rtol: float = 1e-10):
                        f"last change {change[row]:.3g} (row {row}), rtol {rtol:g}")
 
 
+def _integrate_even_theta(f, panels: int):
+    """Integral over [0, pi] of an integrand even about pi/2, taken as twice
+    its integral over [0, pi/2] from half of ``panels``, so that the panels
+    keep the width of ``panels`` panels over [0, pi].  Every integrand that
+    is a function of Q_n(t)^2, Q_n'(t)^2 or Q_n''(t)^2 and t^2 times a power
+    of sin theta is even, because Q_n(-t) = (-1)^n Q_n(t)."""
+    return 2.0 * _integrate_theta(f, 0.0, math.pi / 2.0, panels // 2)
+
+
 def moment_integral(model: SphereModel, kind: str | tuple[str, ...]):
     """Integral of a Q_n-derived quantity against dmu over [-1, 1].
 
     kind selects the integrand: Q2 -> Q^2, Q4 -> Q^4, DQ2 -> (Q')^2,
     DQ4_weighted -> (Q')^4 (1-t^2)^2, D2Q2_weighted -> (Q'')^2 (1-t^2)^2.
     Evaluated in the theta = arccos t parameterization with panels no wider
-    than pi/(8n), so oscillations of Q_n are resolved by >= 16 nodes each.
+    than pi/(8n), so oscillations of Q_n are resolved by >= 16 nodes each;
+    every integrand is even about theta = pi/2, so only [0, pi/2] is
+    integrated.
     A tuple of kinds gives a tuple of integrals, in order, from one Q_n
     recurrence per panel level; each equals its single-kind value exactly.
     """
@@ -245,7 +256,7 @@ def moment_integral(model: SphereModel, kind: str | tuple[str, ...]):
             np.multiply(wm * _MOMENT_INTEGRANDS[k](q, dq, d2q, t), sm, out=row)
         return out
 
-    values = _integrate_theta(integrands, 0.0, math.pi, max(8, PANELS_PER_DEGREE * n))
+    values = _integrate_even_theta(integrands, max(8, PANELS_PER_DEGREE * n))
     return float(values[0]) if isinstance(kind, str) else tuple(map(float, values))
 
 

@@ -72,6 +72,30 @@ def test_cli_determinism_byte_identical():
     assert text1 == text2
 
 
+def test_mc_verify_builds_its_mesh_once(monkeypatch):
+    # one mesh serves every degree, and each row is the row of that degree
+    # run alone
+    from sphnodal import geometry, nodal
+
+    calls = []
+    build = geometry.icosphere
+
+    def counting(level):
+        calls.append(level)
+        return build(level)
+
+    monkeypatch.setattr(geometry, "icosphere", counting)
+    monkeypatch.setattr(nodal, "icosphere", counting)
+    common = ["--mesh-level", "4", "--samples", "4", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # level 4 under-resolves n = 7
+        code, text = run_cli(["mc-verify", "--n", "5,7", *common])
+        assert code == 0
+        assert calls == [4]
+        alone = [parse_csv(run_cli(["mc-verify", "--n", n, *common])[1])[2][0] for n in "57"]
+    assert parse_csv(text)[2] == alone
+
+
 def test_kernel_profile_and_determinism():
     args = ["kernel-profile", "--m", "2", "--n", "8", "--theta-points", "9",
             "--mc-paths", "2000", "--seed", "3"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -140,6 +141,93 @@ def test_icosphere_bit_identical_to_midpoint_cache(level):
     verts, faces = _icosphere_by_midpoint_cache(level)
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.triangles, faces)
+
+
+def _icosphere_by_sorted_edges(subdivisions):
+    """Reference subdivision, whole levels at a time: the directed edges ab,
+    bc, ca are listed face by face and each midpoint is numbered by its
+    edge's first appearance, found with np.unique and argsort; the longest
+    edge comes from the end-point dots of every triangle's three edges."""
+    vertices = ge._unit_rows(ge._ICO_VERTS)
+    faces = ge._ICO_FACES.copy()
+    for _ in range(subdivisions):
+        nverts = vertices.shape[0]
+        tail = faces.reshape(-1)
+        head = np.roll(faces, -1, axis=1).reshape(-1)
+        key = np.minimum(tail, head) * nverts + np.maximum(tail, head)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        new = first[order]
+        ab, bc, ca = (nverts + rank[inverse].reshape(-1, 3)).T
+        vertices = np.vstack([vertices, ge._unit_rows(vertices[tail[new]] + vertices[head[new]])])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    min_dot = math.inf
+    for tail, head in ((0, 1), (1, 2), (2, 0)):
+        i, j = faces[:, tail], faces[:, head]
+        dots = vertices[i, 0] * vertices[j, 0]
+        dots += vertices[i, 1] * vertices[j, 1]
+        dots += vertices[i, 2] * vertices[j, 2]
+        min_dot = min(min_dot, float(dots.min()))
+    return vertices, faces, float(np.arccos(np.clip(min_dot, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("level", [6, 7, 8])
+def test_icosphere_bit_identical_to_sorted_edges(level):
+    # the midpoint-cache oracle stops at level 5; the mc-fine mesh is level 8
+    mesh = ge.icosphere(level)
+    verts, faces, edge_max = _icosphere_by_sorted_edges(level)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, faces)
+    assert mesh.edge_length_max == edge_max
+
+
+def test_icosphere_twins_pair_every_edge():
+    # each slot's twin holds the same edge reversed, and twins are mutual
+    twins = ge._base_twins(ge._ICO_FACES)
+    for _ in range(3):
+        twins = ge._child_twins(twins)
+    faces = ge.icosphere(3).triangles
+    tail = faces.reshape(-1)
+    head = np.roll(faces, -1, axis=1).reshape(-1)
+    assert np.array_equal(twins[twins], np.arange(twins.size))
+    assert np.array_equal(tail[twins], head)
+    assert np.array_equal(head[twins], tail)
+
+
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_edge_length_max_measures_each_edge_once(level, monkeypatch):
+    seen = []
+    scan = ge._min_edge_dot
+
+    def recording(vertices, edges):
+        edges = list(edges)
+        idx = np.arange(vertices.shape[0])
+        seen.extend(np.sort(np.stack([idx[i], idx[j]], axis=1), axis=1) for i, j in edges)
+        return scan(vertices, edges)
+
+    monkeypatch.setattr(ge, "_min_edge_dot", recording)
+    faces = ge.icosphere(level).triangles
+    measured = np.concatenate(seen)
+    every = np.sort(np.stack([faces.reshape(-1), np.roll(faces, -1, axis=1).reshape(-1)],
+                             axis=1), axis=1)
+    assert measured.shape[0] == every.shape[0] // 2
+    assert np.array_equal(np.unique(measured, axis=0), np.unique(every, axis=0))
+
+
+def test_icosphere_level8_traced_peak():
+    # the sort-based subdivision peaked at 75.0 MiB of traced memory here
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ge.icosphere(8)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 75.0 * 2**20
 
 
 @pytest.mark.parametrize("level", range(8))

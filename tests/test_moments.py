@@ -281,6 +281,17 @@ def test_leray_quadrature_panel_stability():
     assert abs(v2 - v1) <= 1e-8 * abs(v1)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 80])
+def test_leray_variance_half_range_matches_full_range(m, n):
+    # the integrand depends on Q_n^2, even about theta = pi/2 for odd n too
+    model = sf.SphereModel(m, n)
+    full = sf._integrate_theta(mo._leray_integrand(model), 0.0, math.pi,
+                               max(8, sf.PANELS_PER_DEGREE * n))
+    value = mo.leray_variance(model)
+    assert value == pytest.approx(sphere_volume(m) / (2 * math.pi) * full, rel=1e-12)
+
+
 def test_singular_interval_mass_scaling():
     fit = singular_interval_mass(sf.SphereModel(2, 10)) * 10**2
     for n in (20, 40, 80, 160):

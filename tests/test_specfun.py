@@ -221,7 +221,9 @@ def test_moment_kind_validation():
 
 def _single_kind_moment(model, kind):
     # one kind at a time, with its own recurrence per level and its own
-    # doubling loop: the reference the shared levels must reproduce
+    # doubling loop: the reference the shared levels must reproduce.  Like
+    # moment_integral it takes twice the [0, pi/2] integral, whose panels
+    # have the width of max(8, 8n) panels over [0, pi]
     m = model.m
     wm = sphere_volume(m - 1)
 
@@ -232,15 +234,15 @@ def _single_kind_moment(model, kind):
              "D2Q2_weighted": d2q**2 * (1.0 - t * t) ** 2}[kind]
         return wm * g * np.sin(thetas) ** (m - 1)
 
-    panels = max(8, 8 * model.n)
-    nodes, weights = sf._panel_nodes(0.0, math.pi, panels)
+    panels = max(4, 4 * model.n)
+    nodes, weights = sf._panel_nodes(0.0, math.pi / 2, panels)
     val = float(np.sum(weights * integrand(nodes)))
     for _ in range(8):
         panels *= 2
-        nodes, weights = sf._panel_nodes(0.0, math.pi, panels)
+        nodes, weights = sf._panel_nodes(0.0, math.pi / 2, panels)
         new = float(np.sum(weights * integrand(nodes)))
         if abs(new - val) <= 1e-10 * max(1.0, abs(new)):
-            return new
+            return 2.0 * new
         val = new
     raise AssertionError("reference quadrature did not converge")
 
@@ -265,7 +267,7 @@ def test_moments_table_runs_two_recurrences_per_row(monkeypatch, capsys):
 
     monkeypatch.setattr(sf, "_q_pair", counted)
     assert cli.main(["moments-table", "--m", "2", "--n", "10,40"]) == 0
-    # Q2, Q4 and DQ2 share the 8n- and 16n-panel levels of each row
+    # Q2, Q4 and DQ2 share the first two panel levels of each row
     assert calls == [10, 10, 40, 40]
     capsys.readouterr()
 
@@ -386,3 +388,22 @@ def test_stacked_unconverged_row_raises_with_its_change():
         sf._integrate_theta(lambda th: np.stack((np.sin(th), step(th))), 0.0, math.pi, 3,
                             rtol=1e-15)
     assert f"last change {change} (row 1)" in str(stacked.value)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 80])
+def test_half_range_moment_matches_full_range(m, n):
+    # every integrand is even about theta = pi/2, odd n included, so twice
+    # the [0, pi/2] integral is the [0, pi] one from panels of the same width
+    model = sf.SphereModel(m, n)
+    half = sf.moment_integral(model, sf.MOMENT_KINDS)
+    for kind, value in zip(sf.MOMENT_KINDS, half):
+        def f(thetas, kind=kind):
+            t = np.cos(thetas)
+            q, dq, d2q = sf.gegenbauer_eval_arrays(model, t)
+            return (sphere_volume(m - 1) * sf._MOMENT_INTEGRANDS[kind](q, dq, d2q, t)
+                    * np.sin(thetas) ** (m - 1))
+
+        full = sf._integrate_theta(f, 0.0, math.pi, max(8, sf.PANELS_PER_DEGREE * n))
+        # D2Q2_weighted vanishes at n = 1, where Q_1 is linear
+        assert abs(value - full) <= 1e-12 * (abs(full) if full else 1.0), kind
