@@ -207,9 +207,11 @@ def _cmd_mc_verify(cfg: RunConfig):
                "theory_EZ", "theory_EL", "theory_varL",
                "ratio_Z", "ratio_L", "ratio_varL", "excluded"]
     rows = []
+    models = [specfun.SphereModel(cfg.m, n) for n in cfg.n]
+    for model in models:  # every degree is checked before the mesh is built
+        nodal.check_experiment(model, cfg.samples)
     mesh = geometry.icosphere(cfg.mesh_level)  # one mesh serves every degree
-    for n in cfg.n:
-        model = specfun.SphereModel(cfg.m, n)
+    for model in models:
         rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples, cfg.seed,
                                            mesh=mesh)
         d = rep.as_dict()

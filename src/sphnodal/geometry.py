@@ -137,6 +137,25 @@ _ICO_FACES = np.array(
     dtype=np.int64,
 )
 
+# Base faces 10-19 are the antipodes of faces 0-9: 0-13, 1-12, 2-11, 3-10,
+# 4-14, 5-17, 6-18, 7-19, 8-15, 9-16.  Subdivision numbers the children of
+# face f as 4f+c, so at every level the first half of the triangles holds
+# exactly one triangle of each antipodal pair.
+
+
+def _antipodal_half(mesh: IcoMesh) -> IcoMesh:
+    """The first half of an icosphere's triangles, over the vertices they
+    use, renumbered in their original order.  Every edge of the second half
+    is the antipode of an edge of the first, so ``edge_length_max`` is the
+    whole mesh's.  A used vertex's first triangle in the whole mesh lies in
+    the half, so the half keeps its first triangle and its column."""
+    half = mesh.triangles[:mesh.triangles.shape[0] // 2]
+    used = np.zeros(mesh.vertices.shape[0], dtype=bool)
+    used[half] = True
+    number = np.cumsum(used) - 1
+    return IcoMesh(vertices=mesh.vertices[used], triangles=number[half],
+                   edge_length_max=mesh.edge_length_max)
+
 
 def _unit_rows(p: np.ndarray) -> np.ndarray:
     """Rows scaled to unit length; the row norm is sqrt of a matmul dot,

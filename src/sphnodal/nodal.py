@@ -7,7 +7,10 @@ Total length approximates the nodal volume; dividing each segment by the
 gradient norm at its midpoint gives the line-integral Leray estimate.
 
 Monte Carlo experiments key each draw's coefficients by (seed, sample
-index), so results replay exactly from the seed.
+index), so results replay exactly from the seed.  They extract each draw on
+the antipodal half of the icosphere and double its sums: a degree-n
+eigenfunction has f(-x) = (-1)^n f(x), so the other half holds a congruent
+copy of the same nodal set.
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble, moments
-from .geometry import IcoMesh, icosphere
+from .geometry import IcoMesh, _antipodal_half, icosphere
 from .specfun import SphereModel
 
 __all__ = [
     "NodalSet",
     "ExperimentReport",
     "NearSingularSampleError",
+    "check_experiment",
     "extract_nodal",
     "leray_estimate_line",
     "monte_carlo_experiment",
@@ -193,38 +197,57 @@ def leray_estimate_line(sample: ensemble.HarmonicSample, nodal: NodalSet) -> flo
     return float(np.sum(nodal.lengths / nodal.gradient_norms))
 
 
-def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
-                           seed: int, *, mesh: IcoMesh | None = None) -> ExperimentReport:
-    """Draw ``samples`` eigenfunctions, extract nodal sets, and report the
-    length and Leray statistics next to their theory values.
-
-    Per-sample coefficient streams are keyed by (seed, sample index), so the
-    report replays exactly from the seed.  Vertex data never exceeds
-    V x min(samples, 2n+1) floats on a mesh of V vertices: with at most 2n+1
-    draws the basis is built one vertex block at a time and every draw's
-    values are filled block by block; with more draws the (V, 2n+1) basis
-    matrix is the smaller object and serves each draw in turn.  Samples
-    whose nodal midpoints carry vanishing gradients are excluded and
-    counted; a warning fires if they exceed 1% of the draws, and fewer than
-    2 kept draws raise, as does a degree below 1.  A mesh coarser than
-    pi/(8n) per edge warns once, before any sample is drawn.
-    The reported ``theory_varL`` is the leading-order 4 pi / N, not Var(L)
-    at degree n (see ``ExperimentReport``).
-    """
+def check_experiment(model: SphereModel, samples: int) -> None:
+    """Raise ValueError for a run that ``monte_carlo_experiment`` refuses
+    before any work: a sphere other than S^2, a degree below 1 (no nodal
+    set) or fewer than 2 samples (no sample variance)."""
     if model.m != 2:
         raise ValueError("mesh experiments only run on S^2")
     if model.n < 1:
         raise ValueError(f"a degree-{model.n} eigenfunction has no nodal set")
     if samples < 2:
         raise ValueError(f"a sample variance needs at least 2 samples, got {samples}")
+
+
+def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
+                           seed: int, *, mesh: IcoMesh | None = None) -> ExperimentReport:
+    """Draw ``samples`` eigenfunctions, extract nodal sets, and report the
+    length and Leray statistics next to their theory values.
+
+    A degree-n eigenfunction has f(-x) = (-1)^n f(x), so its nodal set is
+    centrally symmetric, and so is the icosphere.  Every draw runs on the
+    antipodal half of the mesh (``geometry._antipodal_half``, one triangle
+    of each antipodal pair, built once per call), and Z and L are twice the
+    half's sums.  ``mesh`` must be ``icosphere(mesh_level)``: a mesh without
+    20 * 4^mesh_level triangles raises ValueError.
+
+    Per-sample coefficient streams are keyed by (seed, sample index), so the
+    report replays exactly from the seed.  Vertex data never exceeds
+    H x min(samples, 2n+1) floats, where the half has H = V/2 + 5 * 2^level
+    of the mesh's V vertices: with at most 2n+1 draws the basis is built one
+    vertex block at a time and every draw's values are filled block by
+    block; with more draws the (H, 2n+1) basis matrix is the smaller object
+    and serves each draw in turn.
+    Samples whose nodal midpoints carry vanishing gradients are excluded and
+    counted; a warning fires if they exceed 1% of the draws, and fewer than
+    2 kept draws raise, as do the runs that ``check_experiment`` refuses.
+    A mesh coarser than pi/(8n) per edge warns once, before any sample is
+    drawn.  The reported ``theory_varL`` is the leading-order 4 pi / N, not
+    Var(L) at degree n (see ``ExperimentReport``).
+    """
+    check_experiment(model, samples)
     if mesh is None:
         mesh = icosphere(mesh_level)
+    if mesh.triangles.shape[0] != 20 * 4 ** mesh_level:
+        raise ValueError(f"a mesh of {mesh.triangles.shape[0]} triangles is not the "
+                         f"level-{mesh_level} icosphere")
     if mesh.edge_length_max > math.pi / (8.0 * model.n):
         warnings.warn(
             f"mesh edges up to {mesh.edge_length_max:.4f} rad exceed pi/(8n) = "
             f"{math.pi / (8 * model.n):.4f}; nodal lines are under-resolved",
             stacklevel=2,
         )
+    mesh = _antipodal_half(mesh)  # the whole mesh is not used below
     basis = ensemble.HarmonicBasis(model.n)
     scale = math.sqrt(4.0 * math.pi / basis.size)
     coefs = [ensemble.rng_for(seed, idx).standard_normal(basis.size) for idx in range(samples)]
@@ -233,7 +256,7 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
         # slices aligned with eval_basis_many's own blocks give exactly the
         # rows of the full basis matrix; one gemv per draw and slice gives
         # the full mat-vec's values (to the last bit at one BLAS thread).
-        # One array per draw: a row (5 MB at level 8) can reuse heap memory
+        # One array per draw: a row (2.6 MB at level 8) can reuse heap memory
         # that an earlier mesh build in the process freed, while one
         # (samples, V) array would be mapped afresh on top of it
         verts = mesh.vertices
@@ -253,9 +276,9 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     for idx, (a, values) in enumerate(zip(coefs, draw_values)):
         smp = ensemble.HarmonicSample(basis=basis, a=a, scale=scale)
         nodal = extract_nodal(smp, mesh, values)
-        z_vals[idx] = nodal.total_length
+        z_vals[idx] = 2.0 * nodal.total_length
         try:
-            l_vals[idx] = leray_estimate_line(smp, nodal)
+            l_vals[idx] = 2.0 * leray_estimate_line(smp, nodal)
         except (NearSingularSampleError, ValueError):
             pass  # stays NaN, counted below
 

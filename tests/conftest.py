@@ -65,6 +65,15 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(num, den)
 
 
+def antipodal_half_by_unique(mesh: geometry.IcoMesh) -> geometry.IcoMesh:
+    """The first half of an icosphere's triangles over the vertices they use,
+    renumbered in their original order by ``np.unique``."""
+    half = mesh.triangles[:mesh.triangles.shape[0] // 2]
+    used, numbers = np.unique(half, return_inverse=True)
+    return geometry.IcoMesh(vertices=mesh.vertices[used], triangles=numbers.reshape(-1, 3),
+                            edge_length_max=mesh.edge_length_max)
+
+
 def c_tilde(m: int) -> float:
     """Inverse of lim_{x->0} J_alpha(x)/x^alpha with alpha = (m-2)/2.
 

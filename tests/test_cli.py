@@ -96,6 +96,28 @@ def test_mc_verify_builds_its_mesh_once(monkeypatch):
     assert parse_csv(text)[2] == alone
 
 
+@pytest.mark.parametrize("args", [
+    ["--m", "3", "--n", "5", "--samples", "4"],
+    ["--n", "0", "--samples", "4"],
+    ["--n", "5", "--samples", "1"],
+    ["--n", "5,7,0", "--samples", "4"],  # a refused degree after good ones
+], ids=["m3", "degree0", "one-sample", "last-degree0"])
+def test_refused_mc_verify_builds_no_mesh(monkeypatch, capsys, args):
+    from sphnodal import geometry, nodal
+
+    calls = []
+
+    def counting(level):
+        calls.append(level)
+        raise AssertionError("the mesh is built before the run is refused")
+
+    monkeypatch.setattr(geometry, "icosphere", counting)
+    monkeypatch.setattr(nodal, "icosphere", counting)
+    assert cli.main(["mc-verify", "--mesh-level", "9", "--seed", "1", *args]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_kernel_profile_and_determinism():
     args = ["kernel-profile", "--m", "2", "--n", "8", "--theta-points", "9",
             "--mc-paths", "2000", "--seed", "3"]

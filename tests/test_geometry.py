@@ -9,7 +9,7 @@ from numpy.polynomial.legendre import leggauss
 from sphnodal import geometry as ge
 from sphnodal import moments as mo
 
-from conftest import triangle_areas, unit_points
+from conftest import antipodal_half_by_unique, triangle_areas, unit_points
 
 
 def distance(x, y):
@@ -195,6 +195,55 @@ def test_icosphere_twins_pair_every_edge():
     assert np.array_equal(twins[twins], np.arange(twins.size))
     assert np.array_equal(tail[twins], head)
     assert np.array_equal(head[twins], tail)
+
+
+def _antipodes(vertices):
+    """Index of each vertex's antipode: the rows and their negatives sorted
+    alike pair off, since the rows are distinct."""
+    anti = np.empty(vertices.shape[0], dtype=np.int64)
+    anti[np.lexsort(vertices.T)] = np.lexsort((-vertices).T)
+    return anti
+
+
+def _sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_second_half_of_triangles_is_the_antipodal_image_of_the_first(level):
+    # the antipode of every vertex is a vertex, coordinates negated exactly
+    # (a zero compares equal to its negative), and the first half's
+    # triangles, mapped to their antipodes, are the second half's as vertex
+    # sets
+    mesh = ge.icosphere(level)
+    anti = _antipodes(mesh.vertices)
+    assert np.array_equal(mesh.vertices[anti], -mesh.vertices)
+    half = mesh.triangles.shape[0] // 2
+    image = np.sort(anti[mesh.triangles[:half]], axis=1)
+    second = np.sort(mesh.triangles[half:], axis=1)
+    assert np.array_equal(_sorted_rows(image), _sorted_rows(second))
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_antipodal_half_keeps_each_vertex_first_triangle(level):
+    mesh = ge.icosphere(level)
+    half = ge._antipodal_half(mesh)
+    want = antipodal_half_by_unique(mesh)
+    assert np.array_equal(half.vertices, want.vertices)
+    assert np.array_equal(half.triangles, want.triangles)
+    # the vertex count that nodal.monte_carlo_experiment's memory rule states
+    assert half.vertices.shape[0] == mesh.vertices.shape[0] // 2 + 5 * 2**level
+    # the first slot that holds a half vertex in the whole mesh is a slot
+    # of the half, so the zero-vertex nudge picks the same neighbour
+    flat = mesh.triangles.reshape(-1)
+    used = np.unique(mesh.triangles[:half.triangles.shape[0]])
+    _, first = np.unique(flat, return_index=True)
+    assert np.all(first[used] < half.triangles.size)
+    # every edge of the second half has an antipode of equal length in the
+    # first, so the half's longest edge is the whole mesh's
+    v = half.vertices[half.triangles]
+    dots = np.concatenate([np.sum(v[:, i] * v[:, (i + 1) % 3], axis=1) for i in range(3)])
+    assert half.edge_length_max == float(np.max(np.arccos(np.clip(dots, -1.0, 1.0))))
 
 
 @pytest.mark.parametrize("level", [0, 1, 3])

@@ -13,7 +13,7 @@ from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
-from conftest import sample_function, triangle_areas
+from conftest import antipodal_half_by_unique, sample_function, triangle_areas
 
 
 def zonal_degree_one(coefficient=1.0):
@@ -141,8 +141,11 @@ def _rowwise_leray(nodal):
     return float(np.sum(lengths / nodal.gradient_norms))
 
 
-def _rowwise_report(model, mesh_level, samples, seed, mesh):
-    """The sample loop of monte_carlo_experiment, on the row-wise oracles."""
+def _rowwise_report(model, mesh_level, samples, seed, mesh, *, whole=False):
+    """The sample loop of monte_carlo_experiment, on the row-wise oracles:
+    on the antipodal half of ``mesh`` with Z and L doubled, as the
+    experiment runs, or with ``whole`` on every triangle of ``mesh``."""
+    mesh, factor = (mesh, 1.0) if whole else (antipodal_half_by_unique(mesh), 2.0)
     basis = en.HarmonicBasis(model.n)
     scale = math.sqrt(4.0 * math.pi / basis.size)
     basis_matrix = en.eval_basis_many(basis, mesh.vertices)
@@ -152,10 +155,10 @@ def _rowwise_report(model, mesh_level, samples, seed, mesh):
         a = en.rng_for(seed, idx).standard_normal(basis.size)
         smp = en.HarmonicSample(basis=basis, a=a, scale=scale)
         nodal = _rowwise_extract(smp, mesh, scale * (basis_matrix @ a))
-        z_vals[idx] = nodal.total_length
+        z_vals[idx] = factor * nodal.total_length
         if (nodal.segments.shape[0] > 0
                 and not np.any(nodal.gradient_norms < nd.MIN_MIDPOINT_GRADIENT)):
-            l_vals[idx] = _rowwise_leray(nodal)
+            l_vals[idx] = factor * _rowwise_leray(nodal)
     lv = l_vals[~np.isnan(l_vals)]
     return nd.ExperimentReport(
         model=model, sample_count=samples, mesh_level=mesh_level, seed=seed,
@@ -476,17 +479,49 @@ def test_monte_carlo_report_matches_rowwise_loop(mesh_level5, seed):
     assert got.as_dict() == _rowwise_report(model, 5, 60, seed, mesh_level5)
 
 
+@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_half_mesh_report_matches_whole_mesh_loop(request, level, n):
+    # the nodal set of f(-x) = (-1)^n f(x) is centrally symmetric, and so is
+    # the icosphere: twice the half's sums equal the whole mesh's sums up to
+    # roundoff in the values at antipodal vertices.  30 draws take the basis
+    # matrix at n = 2 and 7 (5 and 15 columns) and the streamed path at n = 20
+    mesh = request.getfixturevalue(f"mesh_level{level}")
+    model = sf.SphereModel(2, n)
+    got = nd.monte_carlo_experiment(model, level, 30, seed=level, mesh=mesh).as_dict()
+    want = _rowwise_report(model, level, 30, level, mesh, whole=True)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_monte_carlo_refuses_a_mesh_of_another_level():
+    with pytest.raises(ValueError, match="not the level-4 icosphere"):
+        nd.monte_carlo_experiment(sf.SphereModel(2, 3), 4, samples=2, seed=0,
+                                  mesh=ge.icosphere(3))
+
+
+def test_zero_vertex_nudge_on_the_half_matches_the_whole_mesh(mesh_level5):
+    # each half vertex keeps its first triangle and that triangle's column
+    # order, so a zero value is nudged towards the same neighbour
+    sample, values = sample_with_values(9, 13, mesh_level5)
+    half = ge._antipodal_half(mesh_level5)
+    used = np.unique(mesh_level5.triangles[:half.triangles.shape[0]])
+    values[used[::97]] = 0.0
+    got = nd._vertex_values(sample, half, values[used])
+    assert np.array_equal(got, nd._vertex_values(sample, mesh_level5, values)[used])
+    assert np.all(got != 0.0)
+
+
 @pytest.mark.parametrize("n,samples", [(10, 20), (40, 5)])
 def test_streamed_report_matches_rowwise_loop(mesh_level6, n, samples):
     # at most 2n+1 draws: the basis is built one vertex block at a time
-    # (three blocks at level 6) and each draw's values are filled one gemv
-    # per block.  With one BLAS thread those values equal the full mat-vec's
+    # (two blocks on the level-6 half) and each draw's values are filled one
+    # gemv per block.  With one BLAS thread those values equal the full mat-vec's
     # bit for bit.  With more, OpenBLAS splits a gemv's rows between threads
     # at other rows for a block than for the whole matrix, and a row that
     # ends a thread's share is summed by its tail kernel in another order
     # (1e-16 relative, a few rows per draw), so the report is compared to
     # 1e-12 relative
-    assert samples <= 2 * n + 1 and mesh_level6.vertices.shape[0] > 2 * en._BLOCK
+    assert samples <= 2 * n + 1 and mesh_level6.vertices.shape[0] // 2 > en._BLOCK
     model = sf.SphereModel(2, n)
     got = nd.monte_carlo_experiment(model, 6, samples, seed=3, mesh=mesh_level6).as_dict()
     want = _rowwise_report(model, 6, samples, 3, mesh_level6)
@@ -494,8 +529,9 @@ def test_streamed_report_matches_rowwise_loop(mesh_level6, n, samples):
 
 
 @pytest.mark.parametrize("samples,expected_rows", [
-    (11, [en._BLOCK, en._BLOCK, 40962 - 2 * en._BLOCK]),  # 2n+1 draws: streamed
-    (12, [40962]),                                        # one more: basis matrix
+    # the level-6 half has 20801 of the 40962 vertices
+    (11, [en._BLOCK, 20801 - en._BLOCK]),  # 2n+1 draws: streamed
+    (12, [20801]),                         # one more: basis matrix
 ], ids=["streamed", "basis-matrix"])
 def test_basis_path_follows_draw_count(monkeypatch, mesh_level6, samples, expected_rows):
     rows = []
@@ -512,7 +548,8 @@ def test_basis_path_follows_draw_count(monkeypatch, mesh_level6, samples, expect
 
 def test_streamed_experiment_never_holds_the_basis_matrix(mesh_level7):
     # 5 draws against 81 columns at level 7: the (V, 81) basis matrix would
-    # take 106 MB; streamed, the vertex data is 5 rows of V plus one block
+    # take 106 MB and the antipodal half's a little over half of that;
+    # streamed, the vertex data is 5 rows of the half plus one block
     model = sf.SphereModel(2, 40)
     basis_bytes = 8 * mesh_level7.vertices.shape[0] * (2 * model.n + 1)
     tracemalloc.start()
