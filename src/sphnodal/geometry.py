@@ -1,5 +1,6 @@
 """Sphere geometry: volumes, geodesic steps, geodesic-aligned frames, and
-the icosphere triangulation used for nodal extraction on S^2.
+the icosphere used for nodal extraction on S^2, built as its antipodal
+half: 10 * 4^level triangles, one of each antipodal pair.
 
 Points are unit vectors in R^{m+1} held as plain numpy arrays.  The north
 pole is the last coordinate axis.
@@ -40,7 +41,8 @@ class TangentFrame:
 
 @dataclass(frozen=True)
 class IcoMesh:
-    """Subdivided icosahedron projected to the unit sphere (m = 2 only)."""
+    """Antipodal half of a subdivided icosahedron on the unit sphere (m = 2
+    only): 10 * 4^level triangles, one of each antipodal pair."""
 
     vertices: np.ndarray     # (V, 3) unit vectors
     triangles: np.ndarray    # (T, 3) int indices
@@ -139,22 +141,9 @@ _ICO_FACES = np.array(
 
 # Base faces 10-19 are the antipodes of faces 0-9: 0-13, 1-12, 2-11, 3-10,
 # 4-14, 5-17, 6-18, 7-19, 8-15, 9-16.  Subdivision numbers the children of
-# face f as 4f+c, so at every level the first half of the triangles holds
-# exactly one triangle of each antipodal pair.
-
-
-def _antipodal_half(mesh: IcoMesh) -> IcoMesh:
-    """The first half of an icosphere's triangles, over the vertices they
-    use, renumbered in their original order.  Every edge of the second half
-    is the antipode of an edge of the first, so ``edge_length_max`` is the
-    whole mesh's.  A used vertex's first triangle in the whole mesh lies in
-    the half, so the half keeps its first triangle and its column."""
-    half = mesh.triangles[:mesh.triangles.shape[0] // 2]
-    used = np.zeros(mesh.vertices.shape[0], dtype=bool)
-    used[half] = True
-    number = np.cumsum(used) - 1
-    return IcoMesh(vertices=mesh.vertices[used], triangles=number[half],
-                   edge_length_max=mesh.edge_length_max)
+# face f as 4f+c, so at every level the first half of the whole mesh's
+# triangles holds exactly one triangle of each antipodal pair, and that half
+# is what ``icosphere`` builds.  Faces 0-9 use every base vertex but 3.
 
 
 def _unit_rows(p: np.ndarray) -> np.ndarray:
@@ -238,29 +227,35 @@ def _min_edge_dot(vertices: np.ndarray, edges) -> float:
 
 
 def icosphere(subdivisions: int) -> IcoMesh:
-    """Icosahedron subdivided ``subdivisions`` times, vertices on the unit
-    sphere.  Triangle count is 20 * 4^subdivisions; levels above 9 are
+    """Antipodal half of the icosahedron subdivided ``subdivisions`` = s
+    times, vertices on the unit sphere: its first 10 * 4^s triangles, one of
+    each antipodal pair, over the 5 * 4^s + 5 * 2^s + 1 vertices they use,
+    numbered in the whole mesh's order, bit for bit.  Levels above 9 are
     refused as a memory guard.
 
-    Edges are tracked by twin slots: slot 3f+e is edge e (ab, bc, ca) of
-    face f, and its twin is the slot of the same edge in the neighbouring
-    face.  The twins of the base faces are found once and each subdivision
+    The half grows from base faces 0-9.  Edges are tracked by twin slots:
+    slot 3f+e is edge e (ab, bc, ca) of face f, and its twin is the slot of
+    the same edge in the neighbouring face of the whole mesh.  The base
+    twins are found once on the whole icosahedron and each subdivision
     gives its children's in closed form, so no level sorts its edges.  A
-    slot is its edge's first appearance exactly when slot < twin, and the
-    midpoints are numbered in that order.  ``edge_length_max`` measures
-    each edge of the final mesh once: the three inner edges of every face
-    of the last level's parent, and both halves of each parent edge at its
-    first appearance.  Each level's bookkeeping is freed before the next
-    level's arrays are built.
+    boundary edge's twin lies past the half and stays there.  A slot is its
+    edge's first appearance exactly when slot < twin, as every boundary slot
+    is, and the midpoints are numbered in that order.  ``edge_length_max``
+    measures each edge of the final mesh once: the three inner edges of
+    every face of the last level's parent, and both halves of each parent
+    edge at its first appearance.  Every edge of the other half is the
+    antipode of one of these, so this is the whole mesh's longest edge.
+    Each level's bookkeeping is freed before the next level's arrays are
+    built.
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
     if subdivisions > 9:
         raise ValueError("subdivision level above 9 exceeds the memory guard")
 
-    vertices = _unit_rows(_ICO_VERTS)
-    faces = _ICO_FACES.copy()
-    twins = _base_twins(faces)
+    vertices = _unit_rows(np.delete(_ICO_VERTS, 3, axis=0))
+    faces = _ICO_FACES[:10] - (_ICO_FACES[:10] > 3)
+    twins = _base_twins(_ICO_FACES)[:30]
     if subdivisions == 0:
         _, tail, head = _first_slots(faces, twins)
         min_dot = _min_edge_dot(vertices, ((tail, head),))

@@ -8,7 +8,8 @@ gradient norm at its midpoint gives the line-integral Leray estimate.
 
 Monte Carlo experiments key each draw's coefficients by (seed, sample
 index), so results replay exactly from the seed.  They extract each draw on
-the antipodal half of the icosphere and double its sums: a degree-n
+the antipodal half of the icosphere, which is what ``geometry.icosphere``
+builds (10 * 4^level triangles), and double its sums: a degree-n
 eigenfunction has f(-x) = (-1)^n f(x), so the other half holds a congruent
 copy of the same nodal set.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble, moments
-from .geometry import IcoMesh, _antipodal_half, icosphere
+from .geometry import IcoMesh, icosphere
 from .specfun import SphereModel
 
 __all__ = [
@@ -216,18 +217,19 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
 
     A degree-n eigenfunction has f(-x) = (-1)^n f(x), so its nodal set is
     centrally symmetric, and so is the icosphere.  Every draw runs on the
-    antipodal half of the mesh (``geometry._antipodal_half``, one triangle
-    of each antipodal pair, built once per call), and Z and L are twice the
-    half's sums.  ``mesh`` must be ``icosphere(mesh_level)``: a mesh without
-    20 * 4^mesh_level triangles raises ValueError.
+    antipodal half that ``icosphere(mesh_level)`` builds (one triangle of
+    each antipodal pair), and Z and L are twice the half's sums.  ``mesh``
+    must be that half, and is used as given: a mesh without
+    10 * 4^mesh_level triangles, such as the whole sphere, raises
+    ValueError.
 
     Per-sample coefficient streams are keyed by (seed, sample index), so the
     report replays exactly from the seed.  Vertex data never exceeds
-    H x min(samples, 2n+1) floats, where the half has H = V/2 + 5 * 2^level
-    of the mesh's V vertices: with at most 2n+1 draws the basis is built one
-    vertex block at a time and every draw's values are filled block by
-    block; with more draws the (H, 2n+1) basis matrix is the smaller object
-    and serves each draw in turn.
+    H x min(samples, 2n+1) floats, where the half has
+    H = 5 * 4^level + 5 * 2^level + 1 vertices (328,961 at level 8): with at
+    most 2n+1 draws the basis is built one vertex block at a time and every
+    draw's values are filled block by block; with more draws the (H, 2n+1)
+    basis matrix is the smaller object and serves each draw in turn.
     Samples whose nodal midpoints carry vanishing gradients are excluded and
     counted; a warning fires if they exceed 1% of the draws, and fewer than
     2 kept draws raise, as do the runs that ``check_experiment`` refuses.
@@ -238,16 +240,15 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     check_experiment(model, samples)
     if mesh is None:
         mesh = icosphere(mesh_level)
-    if mesh.triangles.shape[0] != 20 * 4 ** mesh_level:
+    if mesh.triangles.shape[0] != 10 * 4 ** mesh_level:
         raise ValueError(f"a mesh of {mesh.triangles.shape[0]} triangles is not the "
-                         f"level-{mesh_level} icosphere")
+                         f"level-{mesh_level} icosphere half")
     if mesh.edge_length_max > math.pi / (8.0 * model.n):
         warnings.warn(
             f"mesh edges up to {mesh.edge_length_max:.4f} rad exceed pi/(8n) = "
             f"{math.pi / (8 * model.n):.4f}; nodal lines are under-resolved",
             stacklevel=2,
         )
-    mesh = _antipodal_half(mesh)  # the whole mesh is not used below
     basis = ensemble.HarmonicBasis(model.n)
     scale = math.sqrt(4.0 * math.pi / basis.size)
     coefs = [ensemble.rng_for(seed, idx).standard_normal(basis.size) for idx in range(samples)]

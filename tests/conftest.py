@@ -29,13 +29,28 @@ def mesh_level7():
 
 
 @pytest.fixture(scope="session")
+def sphere_level5():
+    return icosphere_by_sorted_edges(5)
+
+
+@pytest.fixture(scope="session")
+def sphere_level6():
+    return icosphere_by_sorted_edges(6)
+
+
+@pytest.fixture(scope="session")
+def sphere_level7():
+    return icosphere_by_sorted_edges(7)
+
+
+@pytest.fixture(scope="session")
 def basis20():
     return ensemble.HarmonicBasis(20)
 
 
 @pytest.fixture(scope="session")
-def basis20_on_level5(mesh_level5, basis20):
-    return ensemble.eval_basis_many(basis20, mesh_level5.vertices)
+def basis20_on_sphere5(sphere_level5, basis20):
+    return ensemble.eval_basis_many(basis20, sphere_level5.vertices)
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +78,41 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     num = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
     den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c) + np.einsum("ij,ij->i", c, a)
     return 2.0 * np.arctan2(num, den)
+
+
+def icosphere_by_sorted_edges(subdivisions: int) -> geometry.IcoMesh:
+    """The whole icosphere, 20 * 4^subdivisions triangles, whose first half
+    ``geometry.icosphere`` builds.  Whole levels at a time: the directed
+    edges ab, bc, ca are listed face by face and each midpoint is numbered
+    by its edge's first appearance, found with np.unique and argsort; the
+    longest edge comes from the end-point dots of every triangle's three
+    edges."""
+    vertices = geometry._unit_rows(geometry._ICO_VERTS)
+    faces = geometry._ICO_FACES.copy()
+    for _ in range(subdivisions):
+        nverts = vertices.shape[0]
+        tail = faces.reshape(-1)
+        head = np.roll(faces, -1, axis=1).reshape(-1)
+        key = np.minimum(tail, head) * nverts + np.maximum(tail, head)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        new = first[order]
+        ab, bc, ca = (nverts + rank[inverse].reshape(-1, 3)).T
+        vertices = np.vstack([vertices,
+                              geometry._unit_rows(vertices[tail[new]] + vertices[head[new]])])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    min_dot = math.inf
+    for tail, head in ((0, 1), (1, 2), (2, 0)):
+        i, j = faces[:, tail], faces[:, head]
+        dots = vertices[i, 0] * vertices[j, 0]
+        dots += vertices[i, 1] * vertices[j, 1]
+        dots += vertices[i, 2] * vertices[j, 2]
+        min_dot = min(min_dot, float(dots.min()))
+    return geometry.IcoMesh(vertices=vertices, triangles=faces,
+                            edge_length_max=float(np.arccos(np.clip(min_dot, -1.0, 1.0))))
 
 
 def antipodal_half_by_unique(mesh: geometry.IcoMesh) -> geometry.IcoMesh:

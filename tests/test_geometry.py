@@ -9,7 +9,8 @@ from numpy.polynomial.legendre import leggauss
 from sphnodal import geometry as ge
 from sphnodal import moments as mo
 
-from conftest import antipodal_half_by_unique, triangle_areas, unit_points
+from conftest import (antipodal_half_by_unique, icosphere_by_sorted_edges, triangle_areas,
+                      unit_points)
 
 
 def distance(x, y):
@@ -89,16 +90,16 @@ def test_aligned_frames_rejects_poles():
 
 def test_icosphere_counts():
     m0 = ge.icosphere(0)
-    assert m0.vertices.shape == (12, 3)
-    assert m0.triangles.shape == (20, 3)
-    assert ge.icosphere(3).triangles.shape[0] == 1280
+    assert m0.vertices.shape == (11, 3)
+    assert m0.triangles.shape == (10, 3)
+    assert ge.icosphere(3).triangles.shape[0] == 640
 
 
 def test_icosphere_vertices_unit_and_manifold():
     mesh = ge.icosphere(3)
     assert np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1)) < 1e-12
     counts = Counter()
-    for a, b, c in mesh.triangles:
+    for a, b, c in icosphere_by_sorted_edges(3).triangles:
         assert len({a, b, c}) == 3
         for e in ((a, b), (b, c), (c, a)):
             counts[tuple(sorted(e))] += 1
@@ -106,9 +107,10 @@ def test_icosphere_vertices_unit_and_manifold():
 
 
 def test_icosphere_area_sum():
+    # one triangle of each antipodal pair covers half the sphere
     mesh = ge.icosphere(4)
     areas = triangle_areas(mesh.vertices, mesh.triangles)
-    assert float(areas.sum()) == pytest.approx(4 * math.pi, rel=5e-3)
+    assert float(areas.sum()) == pytest.approx(2 * math.pi, rel=5e-3)
 
 
 def _icosphere_by_midpoint_cache(subdivisions):
@@ -137,51 +139,35 @@ def _icosphere_by_midpoint_cache(subdivisions):
 
 @pytest.mark.parametrize("level", range(6))
 def test_icosphere_bit_identical_to_midpoint_cache(level):
-    mesh = ge.icosphere(level)
+    # the whole-mesh oracle against an independent one-face-at-a-time build
+    mesh = icosphere_by_sorted_edges(level)
     verts, faces = _icosphere_by_midpoint_cache(level)
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.triangles, faces)
 
 
-def _icosphere_by_sorted_edges(subdivisions):
-    """Reference subdivision, whole levels at a time: the directed edges ab,
-    bc, ca are listed face by face and each midpoint is numbered by its
-    edge's first appearance, found with np.unique and argsort; the longest
-    edge comes from the end-point dots of every triangle's three edges."""
-    vertices = ge._unit_rows(ge._ICO_VERTS)
-    faces = ge._ICO_FACES.copy()
-    for _ in range(subdivisions):
-        nverts = vertices.shape[0]
-        tail = faces.reshape(-1)
-        head = np.roll(faces, -1, axis=1).reshape(-1)
-        key = np.minimum(tail, head) * nverts + np.maximum(tail, head)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        new = first[order]
-        ab, bc, ca = (nverts + rank[inverse].reshape(-1, 3)).T
-        vertices = np.vstack([vertices, ge._unit_rows(vertices[tail[new]] + vertices[head[new]])])
-        a, b, c = faces.T
-        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-    min_dot = math.inf
-    for tail, head in ((0, 1), (1, 2), (2, 0)):
-        i, j = faces[:, tail], faces[:, head]
-        dots = vertices[i, 0] * vertices[j, 0]
-        dots += vertices[i, 1] * vertices[j, 1]
-        dots += vertices[i, 2] * vertices[j, 2]
-        min_dot = min(min_dot, float(dots.min()))
-    return vertices, faces, float(np.arccos(np.clip(min_dot, -1.0, 1.0)))
-
-
-@pytest.mark.parametrize("level", [6, 7, 8])
+@pytest.mark.parametrize("level", range(10))
 def test_icosphere_bit_identical_to_sorted_edges(level):
-    # the midpoint-cache oracle stops at level 5; the mc-fine mesh is level 8
+    # the half of the whole-mesh oracle, up to the memory guard's level 9
     mesh = ge.icosphere(level)
-    verts, faces, edge_max = _icosphere_by_sorted_edges(level)
-    assert np.array_equal(mesh.vertices, verts)
-    assert np.array_equal(mesh.triangles, faces)
-    assert mesh.edge_length_max == edge_max
+    want = antipodal_half_by_unique(icosphere_by_sorted_edges(level))
+    assert np.array_equal(mesh.vertices, want.vertices)
+    assert np.array_equal(mesh.triangles, want.triangles)
+    assert mesh.edge_length_max == want.edge_length_max
+    # 5,281 at level 5 and 328,961 at level 8: the H of
+    # nodal.monte_carlo_experiment's memory rule
+    assert mesh.vertices.shape[0] == 5 * 4**level + 5 * 2**level + 1
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+def test_icosphere_levels_nest(level):
+    # a level's vertices open the next level's, and every fourth child from
+    # the first, second and third holds its parent's corners a, b and c
+    coarse, fine = ge.icosphere(level - 1), ge.icosphere(level)
+    assert np.array_equal(fine.vertices[:coarse.vertices.shape[0]], coarse.vertices)
+    t = fine.triangles
+    assert np.array_equal(np.stack([t[0::4, 0], t[1::4, 0], t[2::4, 0]], axis=1),
+                          coarse.triangles)
 
 
 def test_icosphere_twins_pair_every_edge():
@@ -189,7 +175,7 @@ def test_icosphere_twins_pair_every_edge():
     twins = ge._base_twins(ge._ICO_FACES)
     for _ in range(3):
         twins = ge._child_twins(twins)
-    faces = ge.icosphere(3).triangles
+    faces = icosphere_by_sorted_edges(3).triangles
     tail = faces.reshape(-1)
     head = np.roll(faces, -1, axis=1).reshape(-1)
     assert np.array_equal(twins[twins], np.arange(twins.size))
@@ -211,11 +197,11 @@ def _sorted_rows(a):
 
 @pytest.mark.parametrize("level", range(9))
 def test_second_half_of_triangles_is_the_antipodal_image_of_the_first(level):
-    # the antipode of every vertex is a vertex, coordinates negated exactly
-    # (a zero compares equal to its negative), and the first half's
-    # triangles, mapped to their antipodes, are the second half's as vertex
-    # sets
-    mesh = ge.icosphere(level)
+    # on the whole mesh: the antipode of every vertex is a vertex,
+    # coordinates negated exactly (a zero compares equal to its negative),
+    # and the first half's triangles, mapped to their antipodes, are the
+    # second half's as vertex sets
+    mesh = icosphere_by_sorted_edges(level)
     anti = _antipodes(mesh.vertices)
     assert np.array_equal(mesh.vertices[anti], -mesh.vertices)
     half = mesh.triangles.shape[0] // 2
@@ -226,24 +212,21 @@ def test_second_half_of_triangles_is_the_antipodal_image_of_the_first(level):
 
 @pytest.mark.parametrize("level", range(9))
 def test_antipodal_half_keeps_each_vertex_first_triangle(level):
-    mesh = ge.icosphere(level)
-    half = ge._antipodal_half(mesh)
-    want = antipodal_half_by_unique(mesh)
-    assert np.array_equal(half.vertices, want.vertices)
-    assert np.array_equal(half.triangles, want.triangles)
-    # the vertex count that nodal.monte_carlo_experiment's memory rule states
-    assert half.vertices.shape[0] == mesh.vertices.shape[0] // 2 + 5 * 2**level
     # the first slot that holds a half vertex in the whole mesh is a slot
-    # of the half, so the zero-vertex nudge picks the same neighbour
-    flat = mesh.triangles.reshape(-1)
-    used = np.unique(mesh.triangles[:half.triangles.shape[0]])
+    # of the half, so the zero-vertex nudge picks the same neighbour on the
+    # half as on the whole mesh
+    whole = icosphere_by_sorted_edges(level)
+    half = ge.icosphere(level)
+    flat = whole.triangles.reshape(-1)
+    used = np.unique(whole.triangles[:half.triangles.shape[0]])
+    assert used.size == half.vertices.shape[0]
     _, first = np.unique(flat, return_index=True)
     assert np.all(first[used] < half.triangles.size)
     # every edge of the second half has an antipode of equal length in the
     # first, so the half's longest edge is the whole mesh's
     v = half.vertices[half.triangles]
     dots = np.concatenate([np.sum(v[:, i] * v[:, (i + 1) % 3], axis=1) for i in range(3)])
-    assert half.edge_length_max == float(np.max(np.arccos(np.clip(dots, -1.0, 1.0))))
+    assert whole.edge_length_max == float(np.max(np.arccos(np.clip(dots, -1.0, 1.0))))
 
 
 @pytest.mark.parametrize("level", [0, 1, 3])
@@ -262,12 +245,15 @@ def test_edge_length_max_measures_each_edge_once(level, monkeypatch):
     measured = np.concatenate(seen)
     every = np.sort(np.stack([faces.reshape(-1), np.roll(faces, -1, axis=1).reshape(-1)],
                              axis=1), axis=1)
-    assert measured.shape[0] == every.shape[0] // 2
-    assert np.array_equal(np.unique(measured, axis=0), np.unique(every, axis=0))
+    # an inner edge is in two triangles of the half, a boundary edge in one
+    edges = np.unique(every, axis=0)
+    assert measured.shape[0] == edges.shape[0]
+    assert np.array_equal(np.unique(measured, axis=0), edges)
 
 
 def test_icosphere_level8_traced_peak():
-    # the sort-based subdivision peaked at 75.0 MiB of traced memory here
+    # the sort-based subdivision of the whole mesh peaked at 75.0 MiB of
+    # traced memory here, and the twin-slot build of the whole mesh at 60.0
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -276,7 +262,7 @@ def test_icosphere_level8_traced_peak():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 75.0 * 2**20
+    assert peak <= 40.0 * 2**20
 
 
 @pytest.mark.parametrize("level", range(8))

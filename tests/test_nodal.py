@@ -13,7 +13,7 @@ from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
-from conftest import antipodal_half_by_unique, sample_function, triangle_areas
+from conftest import sample_function, triangle_areas
 
 
 def zonal_degree_one(coefficient=1.0):
@@ -143,9 +143,9 @@ def _rowwise_leray(nodal):
 
 def _rowwise_report(model, mesh_level, samples, seed, mesh, *, whole=False):
     """The sample loop of monte_carlo_experiment, on the row-wise oracles:
-    on the antipodal half of ``mesh`` with Z and L doubled, as the
-    experiment runs, or with ``whole`` on every triangle of ``mesh``."""
-    mesh, factor = (mesh, 1.0) if whole else (antipodal_half_by_unique(mesh), 2.0)
+    on the antipodal half ``mesh`` with Z and L doubled, as the experiment
+    runs, or with ``whole`` on every triangle of the whole sphere ``mesh``."""
+    factor = 1.0 if whole else 2.0
     basis = en.HarmonicBasis(model.n)
     scale = math.sqrt(4.0 * math.pi / basis.size)
     basis_matrix = en.eval_basis_many(basis, mesh.vertices)
@@ -179,18 +179,18 @@ def assert_same_nodal(got, want):
     assert np.array_equal(got.gradient_norms, want.gradient_norms)
 
 
-def test_zonal_nodal_line_is_equator(mesh_level5):
+def test_zonal_nodal_line_is_equator(sphere_level5):
     sample = zonal_degree_one()
-    nodal = nd.extract_nodal(sample, mesh_level5, en.eval_many(sample, mesh_level5.vertices))
+    nodal = nd.extract_nodal(sample, sphere_level5, en.eval_many(sample, sphere_level5.vertices))
     assert nodal.total_length == pytest.approx(2 * math.pi, rel=5e-3)
     # all segment endpoints on the equator
     z = np.abs(nodal.segments[:, :, 2])
     assert float(z.max()) < 1e-6
 
 
-def test_zonal_leray_closed_form(mesh_level5):
+def test_zonal_leray_closed_form(sphere_level5):
     sample = zonal_degree_one()
-    nodal = nd.extract_nodal(sample, mesh_level5, en.eval_many(sample, mesh_level5.vertices))
+    nodal = nd.extract_nodal(sample, sphere_level5, en.eval_many(sample, sphere_level5.vertices))
     grad = np.linalg.norm(en.eval_gradient_ambient_many(sample, np.array([[1.0, 0.0, 0.0]])))
     assert nd.leray_estimate_line(sample, nodal) == pytest.approx(2 * math.pi / grad, rel=1e-4)
 
@@ -285,10 +285,10 @@ def test_band_fraction_near_coincident_values_no_overflow_warning():
     assert frac[0] == 1.0
 
 
-def test_cross_estimator_agreement(mesh_level5, basis20, basis20_on_level5):
+def test_cross_estimator_agreement(sphere_level5, basis20, basis20_on_sphere5):
     # per-sample agreement within 5% for 95% of draws, and the two ensemble
     # averages agree to 2%
-    h = mesh_level5.edge_length_max
+    h = sphere_level5.edge_length_max
     scale = math.sqrt(4 * math.pi / basis20.size)
     rel = []
     lines = []
@@ -296,14 +296,14 @@ def test_cross_estimator_agreement(mesh_level5, basis20, basis20_on_level5):
     for s in range(100):
         a = en.rng_for(11, s).standard_normal(basis20.size)
         sample = en.HarmonicSample(basis=basis20, a=a, scale=scale)
-        values = scale * (basis20_on_level5 @ a)
-        nodal = nd.extract_nodal(sample, mesh_level5, values=values)
+        values = scale * (basis20_on_sphere5 @ a)
+        nodal = nd.extract_nodal(sample, sphere_level5, values=values)
         try:
             line = nd.leray_estimate_line(sample, nodal)
         except (nd.NearSingularSampleError, ValueError):
             continue
         fmax = float(np.max(np.abs(values)))
-        sub = leray_sublevel(mesh_level5, values, [4 * h * fmax, 2 * h * fmax, h * fmax])
+        sub = leray_sublevel(sphere_level5, values, [4 * h * fmax, 2 * h * fmax, h * fmax])
         lines.append(line)
         subs.append(sub)
         rel.append(abs(line - sub) / line)
@@ -312,21 +312,21 @@ def test_cross_estimator_agreement(mesh_level5, basis20, basis20_on_level5):
     assert abs(np.mean(lines) - np.mean(subs)) / np.mean(lines) <= 0.02
 
 
-def test_antipodal_symmetry(mesh_level5, basis20, basis20_on_level5):
+def test_antipodal_symmetry(sphere_level5, basis20, basis20_on_sphere5):
     # degree parity makes the nodal set of x -> f(-x) a congruent copy; the
     # icosphere is centrally symmetric so lengths agree to rounding
     scale = math.sqrt(4 * math.pi / basis20.size)
     a = en.rng_for(19).standard_normal(basis20.size)
     sample = en.HarmonicSample(basis=basis20, a=a, scale=scale)
-    values = scale * (basis20_on_level5 @ a)
-    reflected = en.eval_many(sample, -mesh_level5.vertices)
-    n1 = nd.extract_nodal(sample, mesh_level5, values=values)
-    n2 = nd.extract_nodal(sample, mesh_level5, values=reflected)
+    values = scale * (basis20_on_sphere5 @ a)
+    reflected = en.eval_many(sample, -sphere_level5.vertices)
+    n1 = nd.extract_nodal(sample, sphere_level5, values=values)
+    n2 = nd.extract_nodal(sample, sphere_level5, values=reflected)
     assert n1.total_length == pytest.approx(n2.total_length, abs=1e-9)
 
 
-def test_refinement_consistency(mesh_level5, mesh_level6, mesh_level7, basis20,
-                                basis20_on_level5):
+def test_refinement_consistency(sphere_level5, sphere_level6, sphere_level7, basis20,
+                                basis20_on_sphere5):
     # Richardson self-consistency of the pinned linear extractor at n = 20.
     # Linear interpolation of the crossings makes the length error O(h^2), so
     # one level (half the edge) cuts it by 4: the extrapolation (4 l6 - l5)/3
@@ -340,9 +340,9 @@ def test_refinement_consistency(mesh_level5, mesh_level6, mesh_level7, basis20,
     l5, l6, l7 = (
         nd.extract_nodal(sample, mesh, values=scale * (basis_matrix @ a)).total_length
         for mesh, basis_matrix in (
-            (mesh_level5, basis20_on_level5),
-            (mesh_level6, en.eval_basis_many(basis20, mesh_level6.vertices)),
-            (mesh_level7, en.eval_basis_many(basis20, mesh_level7.vertices)),
+            (sphere_level5, basis20_on_sphere5),
+            (sphere_level6, en.eval_basis_many(basis20, sphere_level6.vertices)),
+            (sphere_level7, en.eval_basis_many(basis20, sphere_level7.vertices)),
         )
     )
     richardson = (4 * l6 - l5) / 3
@@ -428,32 +428,33 @@ def test_extract_nodal_matches_rowwise_oracle(level, n, request):
         assert nd.leray_estimate_line(sample, got) == _rowwise_leray(got)
 
 
-def test_extract_nodal_matches_rowwise_oracle_at_edge_cases(mesh_level5):
+def test_extract_nodal_matches_rowwise_oracle_at_edge_cases(sphere_level5):
     # no crossing: a positive constant
     constant = en.HarmonicSample(basis=en.HarmonicBasis(0), a=np.array([2.0]), scale=1.0)
-    ones = np.ones(mesh_level5.vertices.shape[0])
-    assert_same_nodal(nd.extract_nodal(constant, mesh_level5, values=ones),
-                      _rowwise_extract(constant, mesh_level5, ones))
+    ones = np.ones(sphere_level5.vertices.shape[0])
+    assert_same_nodal(nd.extract_nodal(constant, sphere_level5, values=ones),
+                      _rowwise_extract(constant, sphere_level5, ones))
     # exact zero vertex values take the nudge path
-    sample, values = sample_with_values(11, 4, mesh_level5)
+    sample, values = sample_with_values(11, 4, sphere_level5)
     values[[3, 400, 9000]] = 0.0
-    assert_same_nodal(nd.extract_nodal(sample, mesh_level5, values=values),
-                      _rowwise_extract(sample, mesh_level5, values))
+    assert_same_nodal(nd.extract_nodal(sample, sphere_level5, values=values),
+                      _rowwise_extract(sample, sphere_level5, values))
     # f = x (up to scale) vanishes on the meridian through both poles, which
     # are mesh vertices: the poles are nudged and midpoints crowd them
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     x_sample = en.HarmonicSample(basis=en.HarmonicBasis(1), a=np.array([0.0, 0.0, 1.0]),
                                  scale=math.sqrt(4 * math.pi / 3))
-    x_values = en.eval_many(x_sample, mesh_level5.vertices)
-    pole_rows = np.flatnonzero(np.all(mesh_level5.vertices[:, None] == poles, axis=2).any(axis=1))
+    x_values = en.eval_many(x_sample, sphere_level5.vertices)
+    pole_rows = np.flatnonzero(
+        np.all(sphere_level5.vertices[:, None] == poles, axis=2).any(axis=1))
     assert pole_rows.size == 2 and np.all(np.abs(x_values[pole_rows]) < nd.ZERO_VERTEX_TOL)
-    got = nd.extract_nodal(x_sample, mesh_level5, values=x_values)
-    assert_same_nodal(got, _rowwise_extract(x_sample, mesh_level5, x_values))
+    got = nd.extract_nodal(x_sample, sphere_level5, values=x_values)
+    assert_same_nodal(got, _rowwise_extract(x_sample, sphere_level5, x_values))
     mids = got.segments.sum(axis=1)
     mids /= np.linalg.norm(mids, axis=1)[:, None]
     assert np.max(np.abs(mids[:, 2])) > 0.999
     # midpoints exactly at both poles
-    sample20, _ = sample_with_values(20, 6, mesh_level5)
+    sample20, _ = sample_with_values(20, 6, sphere_level5)
     points = np.vstack([poles, mids])
     assert np.array_equal(en.eval_gradient_ambient_many(sample20, points),
                           _rowwise_gradients(sample20, points))
@@ -487,9 +488,10 @@ def test_half_mesh_report_matches_whole_mesh_loop(request, level, n):
     # roundoff in the values at antipodal vertices.  30 draws take the basis
     # matrix at n = 2 and 7 (5 and 15 columns) and the streamed path at n = 20
     mesh = request.getfixturevalue(f"mesh_level{level}")
+    whole = request.getfixturevalue(f"sphere_level{level}")
     model = sf.SphereModel(2, n)
     got = nd.monte_carlo_experiment(model, level, 30, seed=level, mesh=mesh).as_dict()
-    want = _rowwise_report(model, level, 30, level, mesh, whole=True)
+    want = _rowwise_report(model, level, 30, level, whole, whole=True)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -499,15 +501,22 @@ def test_monte_carlo_refuses_a_mesh_of_another_level():
                                   mesh=ge.icosphere(3))
 
 
-def test_zero_vertex_nudge_on_the_half_matches_the_whole_mesh(mesh_level5):
+def test_monte_carlo_refuses_the_whole_sphere(sphere_level5):
+    # the whole level-5 mesh has the triangle count of the level-6 half;
+    # at its own level its doubled sums would count every nodal line twice
+    with pytest.raises(ValueError, match="not the level-5 icosphere half"):
+        nd.monte_carlo_experiment(sf.SphereModel(2, 3), 5, samples=2, seed=0,
+                                  mesh=sphere_level5)
+
+
+def test_zero_vertex_nudge_on_the_half_matches_the_whole_mesh(mesh_level5, sphere_level5):
     # each half vertex keeps its first triangle and that triangle's column
     # order, so a zero value is nudged towards the same neighbour
-    sample, values = sample_with_values(9, 13, mesh_level5)
-    half = ge._antipodal_half(mesh_level5)
-    used = np.unique(mesh_level5.triangles[:half.triangles.shape[0]])
+    sample, values = sample_with_values(9, 13, sphere_level5)
+    used = np.unique(sphere_level5.triangles[:mesh_level5.triangles.shape[0]])
     values[used[::97]] = 0.0
-    got = nd._vertex_values(sample, half, values[used])
-    assert np.array_equal(got, nd._vertex_values(sample, mesh_level5, values)[used])
+    got = nd._vertex_values(sample, mesh_level5, values[used])
+    assert np.array_equal(got, nd._vertex_values(sample, sphere_level5, values)[used])
     assert np.all(got != 0.0)
 
 
@@ -521,7 +530,7 @@ def test_streamed_report_matches_rowwise_loop(mesh_level6, n, samples):
     # ends a thread's share is summed by its tail kernel in another order
     # (1e-16 relative, a few rows per draw), so the report is compared to
     # 1e-12 relative
-    assert samples <= 2 * n + 1 and mesh_level6.vertices.shape[0] // 2 > en._BLOCK
+    assert samples <= 2 * n + 1 and mesh_level6.vertices.shape[0] > en._BLOCK
     model = sf.SphereModel(2, n)
     got = nd.monte_carlo_experiment(model, 6, samples, seed=3, mesh=mesh_level6).as_dict()
     want = _rowwise_report(model, 6, samples, 3, mesh_level6)
@@ -547,9 +556,9 @@ def test_basis_path_follows_draw_count(monkeypatch, mesh_level6, samples, expect
 
 
 def test_streamed_experiment_never_holds_the_basis_matrix(mesh_level7):
-    # 5 draws against 81 columns at level 7: the (V, 81) basis matrix would
-    # take 106 MB and the antipodal half's a little over half of that;
-    # streamed, the vertex data is 5 rows of the half plus one block
+    # 5 draws against 81 columns at level 7: the (H, 81) basis matrix of the
+    # half would take 53 MB (the whole mesh's, 106 MB); streamed, the vertex
+    # data is 5 rows of the half plus one block
     model = sf.SphereModel(2, 40)
     basis_bytes = 8 * mesh_level7.vertices.shape[0] * (2 * model.n + 1)
     tracemalloc.start()
