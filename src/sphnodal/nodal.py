@@ -11,7 +11,12 @@ index), so results replay exactly from the seed.  They extract each draw on
 the antipodal half of the icosphere, which is what ``geometry.icosphere``
 builds (10 * 4^level triangles), and double its sums: a degree-n
 eigenfunction has f(-x) = (-1)^n f(x), so the other half holds a congruent
-copy of the same nodal set.
+copy of the same nodal set.  Each draw's values, zero-vertex nudge and sign
+test are its own; the crossing geometry (interpolated endpoints, arc
+lengths, midpoints) runs once per chunk of consecutive draws holding at
+most _CHUNK_CROSSINGS crossings, and the midpoint gradients once per draw.
+Every step is elementwise or a sum over one draw's slice, so the results
+are those of extracting each draw on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,32 +32,27 @@ from .geometry import IcoMesh, icosphere
 from .specfun import SphereModel
 
 __all__ = [
-    "NodalSet",
     "ExperimentReport",
     "NearSingularSampleError",
     "check_experiment",
-    "extract_nodal",
-    "leray_estimate_line",
     "monte_carlo_experiment",
 ]
 
 ZERO_VERTEX_TOL = 1e-13
 VERTEX_NUDGE = 1e-7
 MIN_MIDPOINT_GRADIENT = 1e-9
+# crossings per chunk of consecutive draws whose crossing geometry runs in
+# one pass (``_draw_chunks``): enough for several small draws to share
+# numpy's per-call cost, few enough that the pass's arrays (about 140 bytes
+# a crossing at their peak) stay near 1 MB
+_CHUNK_CROSSINGS = ensemble._BLOCK // 2
+# _ROTATION[k, odd] = (odd + k) % 3, the column of a crossed triangle's k-th
+# vertex counted from its odd one; a lookup costs less than integer modulo
+_ROTATION = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 class NearSingularSampleError(RuntimeError):
     """A nodal segment midpoint carries an effectively vanishing gradient."""
-
-
-@dataclass(frozen=True)
-class NodalSet:
-    """Zero-set polyline of one sample on one mesh."""
-
-    segments: np.ndarray        # (S, 2, 3) unit endpoints
-    lengths: np.ndarray         # (S,) great-circle length of each segment
-    total_length: float         # sum of ``lengths``
-    gradient_norms: np.ndarray  # (S,) |grad f| at segment midpoints
 
 
 @dataclass
@@ -127,52 +127,117 @@ def _vertex_values(sample: ensemble.HarmonicSample, mesh: IcoMesh,
     return vals
 
 
-def extract_nodal(sample: ensemble.HarmonicSample, mesh: IcoMesh,
-                  values: np.ndarray) -> NodalSet:
-    """March the triangles of ``mesh`` and collect the zero-crossing
-    segments of ``sample``, whose values at the mesh vertices are
-    ``values``.  Whether the mesh resolves the degree is the caller's
-    check (``monte_carlo_experiment`` makes it once per run).
-    """
-    vals = _vertex_values(sample, mesh, values)
-
-    # component form throughout: a 3-vector is a list of its x, y and z
-    # arrays, and every sum over components runs in index order, the order
-    # of the reduction inside np.linalg.norm, so the bits match the
-    # row-wise norm and dot-product forms
+def _sign_changes(mesh: IcoMesh, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the triangles whose vertex signs disagree, and the column
+    of each one's odd vertex (the one whose sign differs)."""
     tri = mesh.triangles
     pos = vals > 0.0  # each vertex compared once, then gathered per column
     s0, s1, s2 = (pos[tri[:, c]] for c in range(3))
     crossed = np.flatnonzero((s0 != s1) | (s0 != s2))
-    if crossed.size == 0:
-        return NodalSet(segments=np.empty((0, 2, 3)), lengths=np.empty(0),
-                        total_length=0.0, gradient_norms=np.empty(0))
-
-    # rotate each crossed triangle so that its odd vertex (the one whose
-    # sign differs) comes first; both crossings then sit on the edges
-    # (odd, odd+1) and (odd, odd+2)
     s0, s1, s2 = s0[crossed], s1[crossed], s2[crossed]
-    odd = np.where(s1 == s2, 0, np.where(s0 == s2, 1, 2))
-    flat = tri.reshape(-1)
-    i0, i1, i2 = (flat[3 * crossed + (odd + k) % 3] for k in range(3))
-    f0, f1, f2 = vals[i0], vals[i1], vals[i2]
-    w01 = f0 / (f0 - f1)
-    w02 = f0 / (f0 - f2)
+    return crossed, np.where(s1 == s2, 0, np.where(s0 == s2, 1, 2))
 
-    verts = mesh.vertices
+
+def _crossing_geometry(mesh: IcoMesh, draws: list) -> tuple:
+    """Crossing geometry of consecutive draws in one pass: ``draws`` holds
+    each draw's vertex values and ``_sign_changes``.  Returns the arc
+    lengths, the (S, 3) unit midpoints and the two endpoints of every
+    segment, draw after draw, each endpoint as x, y, z component arrays
+    (the Monte Carlo path drops the endpoints; tests compare them).
+
+    Every step is elementwise, so a draw's segments carry the same bits
+    whichever draws share its pass.  Component form throughout: a 3-vector
+    is a list of its x, y and z arrays, and every sum over components runs
+    in index order, the order of the reduction inside np.linalg.norm, so
+    the bits match the row-wise norm and dot-product forms.  Arithmetic
+    runs in place where it can, which gives the bits of the plain
+    expression with fewer temporaries.
+    """
+    # the outputs are allocated before the temporaries: freed, these then
+    # leave one free stretch of heap above the outputs for the gradient
+    # evaluation that follows, rather than a gap below them (at n = 20 on
+    # level 5 that keeps peak RSS at the draw-by-draw value, 0.9 MB lower)
+    size = sum(crossed.size for _, (crossed, _) in draws)
+    lengths, mids = np.empty(size), np.empty((3, size))
+    (i0, i1, i2), (w01, w02) = _crossing_corners(mesh, draws)
     p1, p2 = [], []
-    for c in range(3):
-        x0 = verts[i0, c]
-        p1.append(x0 + w01 * (verts[i1, c] - x0))
-        p2.append(x0 + w02 * (verts[i2, c] - x0))
-    p1, p2 = _unit(p1), _unit(p2)
+    for col in mesh.vertices.T:
+        x0 = col.take(i0)
+        for p, i, w in ((p1, i1, w01), (p2, i2, w02)):
+            x = col.take(i)  # becomes x0 + w * (x - x0)
+            x -= x0
+            x *= w
+            x += x0
+            p.append(x)
+    del i0, i1, i2, w01, w02, x0  # freed before the arc lengths and midpoints
+    _normalise(p1)
+    _normalise(p2)
 
-    lengths = np.arccos(np.clip(_dot3(p1, p2), -1.0, 1.0))
-    mids = np.stack(_unit([a + b for a, b in zip(p1, p2)]), axis=1)
-    grads = ensemble.eval_gradient_ambient_many(sample, mids).T
-    segments = np.stack(p1 + p2, axis=1).reshape(-1, 2, 3)
-    return NodalSet(segments=segments, lengths=lengths, total_length=float(lengths.sum()),
-                    gradient_norms=np.sqrt(_dot3(grads, grads)))
+    np.arccos(np.clip(_dot3(p1, p2), -1.0, 1.0), out=lengths)
+    # midpoints component-major: the (S, 3) transpose hands the gradient
+    # evaluator contiguous x, y and z rows
+    for c in range(3):
+        np.add(p1[c], p2[c], out=mids[c])
+    _normalise(mids)
+    return lengths, mids.T, p1, p2
+
+
+def _crossing_corners(mesh: IcoMesh, draws: list) -> tuple:
+    """Vertex indices of every crossed triangle of ``draws``, rotated so
+    that its odd vertex comes first, and the interpolation weights
+    f0 / (f0 - f1) and f0 / (f0 - f2) of its crossings on the edges
+    (odd, odd+1) and (odd, odd+2)."""
+    if len(draws) == 1:
+        vals, (crossed, odd) = draws[0]
+        shift = 0
+    else:
+        # one value array for the pass: a draw's vertex indices are shifted
+        # to its own copy of the vertices
+        vals = np.concatenate([v for v, _ in draws])
+        crossed = np.concatenate([c for _, (c, _) in draws])
+        odd = np.concatenate([o for _, (_, o) in draws])
+        shift = np.repeat(np.arange(len(draws)) * mesh.vertices.shape[0],
+                          [c.size for _, (c, _) in draws])
+    slot = 3 * crossed
+    flat = mesh.triangles.reshape(-1)
+    corners = [flat.take(slot + _ROTATION[k].take(odd)) for k in range(3)]
+    f0, f1, f2 = (vals.take(i + shift) for i in corners)
+    w01 = np.divide(f0, np.subtract(f0, f1, out=f1), out=f1)
+    w02 = np.divide(f0, np.subtract(f0, f2, out=f2), out=f2)
+    return corners, (w01, w02)
+
+
+def _draw_chunks(mesh: IcoMesh, draws):
+    """Group consecutive draws and run their crossing geometry in one pass.
+
+    ``draws`` yields (sample, vertex values).  A draw's own steps (the zero
+    vertex nudge and the sign test) run as it arrives; a chunk closes
+    before the next draw would take its crossings past _CHUNK_CROSSINGS, so
+    a larger draw forms a chunk of its own.  Yields, per chunk, its samples,
+    the bounds of each draw's slice of the segments, the arc lengths and
+    the unit midpoints.
+    """
+    chunk, crossings = [], 0
+    for sample, values in draws:
+        vals = _vertex_values(sample, mesh, values)
+        changes = _sign_changes(mesh, vals)
+        if chunk and crossings + changes[0].size > _CHUNK_CROSSINGS:
+            yield _chunk_geometry(mesh, chunk)
+            crossings = 0
+        chunk.append((sample, vals, changes))
+        crossings += changes[0].size
+    yield _chunk_geometry(mesh, chunk)
+
+
+def _chunk_geometry(mesh: IcoMesh, chunk: list) -> tuple:
+    """``_draw_chunks``'s yield for one chunk, without the endpoints.  It
+    empties ``chunk``, so the chunk's vertex values and crossing indices
+    are freed before its gradients are evaluated."""
+    samples = [s for s, _, _ in chunk]
+    bounds = np.cumsum([0] + [ch[0].size for _, _, ch in chunk])
+    lengths, mids = _crossing_geometry(mesh, [(v, ch) for _, v, ch in chunk])[:2]
+    chunk.clear()
+    return samples, bounds, lengths, mids
 
 
 def _dot3(a, b) -> np.ndarray:
@@ -181,21 +246,24 @@ def _dot3(a, b) -> np.ndarray:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _unit(p: list) -> list:
-    """Component arrays of p divided by their Euclidean norm."""
+def _normalise(p) -> None:
+    """Divide the x, y, z component arrays of p by their Euclidean norm, in
+    place."""
     norm = np.sqrt(_dot3(p, p))
-    return [c / norm for c in p]
+    for c in p:
+        c /= norm
 
 
-def leray_estimate_line(sample: ensemble.HarmonicSample, nodal: NodalSet) -> float:
-    """Line-integral Leray estimate: sum of segment length / |grad f| at
-    the segment midpoint.  Raises NearSingularSampleError when a midpoint
-    gradient is below 1e-9 so the caller can exclude and count the sample."""
-    if nodal.segments.shape[0] == 0:
+def _leray_sum(lengths: np.ndarray, gradient_norms: np.ndarray) -> float:
+    """Sum of length / |grad f| over one draw's segments, or the reason the
+    draw is excluded: ValueError for an empty nodal set and
+    NearSingularSampleError for a midpoint gradient below
+    MIN_MIDPOINT_GRADIENT."""
+    if lengths.size == 0:
         raise ValueError("empty nodal set")
-    if np.any(nodal.gradient_norms < MIN_MIDPOINT_GRADIENT):
+    if np.any(gradient_norms < MIN_MIDPOINT_GRADIENT):
         raise NearSingularSampleError("vanishing gradient on the nodal set")
-    return float(np.sum(nodal.lengths / nodal.gradient_norms))
+    return float(np.sum(lengths / gradient_norms))
 
 
 def check_experiment(model: SphereModel, samples: int) -> None:
@@ -230,8 +298,15 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     most 2n+1 draws the basis is built one vertex block at a time and every
     draw's values are filled block by block; with more draws the (H, 2n+1)
     basis matrix is the smaller object and serves each draw in turn.
-    Samples whose nodal midpoints carry vanishing gradients are excluded and
-    counted; a warning fires if they exceed 1% of the draws, and fewer than
+    Small draws share one pass of the crossing geometry: a chunk of
+    consecutive draws closes before the next draw would take it past
+    _CHUNK_CROSSINGS crossings, and a larger draw forms a chunk of its own.
+    Gradients are evaluated once per draw, at that draw's midpoints, and
+    every statistic equals that of extracting each draw on its own, bit for
+    bit.  With at most 2n+1 draws
+    each vertex-value row is scaled in place and dropped once its draw is
+    done.  Samples whose nodal midpoints carry vanishing gradients (or have
+    no nodal set) are excluded and counted; a warning fires if they exceed 1% of the draws, and fewer than
     2 kept draws raise, as do the runs that ``check_experiment`` refuses.
     A mesh coarser than pi/(8n) per edge warns once, before any sample is
     drawn.  The reported ``theory_varL`` is the leading-order 4 pi / N, not
@@ -267,21 +342,27 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
             for idx, a in enumerate(coefs):
                 raw[idx][start:start + ensemble._BLOCK] = block @ a
             del block  # freed before the next block is built
-        draw_values = (scale * row for row in raw)
+        for row in raw:
+            row *= scale  # in place: the bits of scale * row, without a copy
+        draw_values = (raw.pop(0) for _ in coefs)  # a row is freed once its draw is done
     else:
         basis_matrix = ensemble.eval_basis_many(basis, mesh.vertices)
         draw_values = (scale * (basis_matrix @ a) for a in coefs)
 
     z_vals = np.full(samples, np.nan)
     l_vals = np.full(samples, np.nan)
-    for idx, (a, values) in enumerate(zip(coefs, draw_values)):
-        smp = ensemble.HarmonicSample(basis=basis, a=a, scale=scale)
-        nodal = extract_nodal(smp, mesh, values)
-        z_vals[idx] = 2.0 * nodal.total_length
-        try:
-            l_vals[idx] = 2.0 * leray_estimate_line(smp, nodal)
-        except (NearSingularSampleError, ValueError):
-            pass  # stays NaN, counted below
+    draws = ((ensemble.HarmonicSample(basis=basis, a=a, scale=scale), values)
+             for a, values in zip(coefs, draw_values))
+    idx = 0
+    for chunk_samples, bounds, lengths, mids in _draw_chunks(mesh, draws):
+        for smp, lo, hi in zip(chunk_samples, bounds[:-1], bounds[1:]):
+            grads = ensemble.eval_gradient_ambient_many(smp, mids[lo:hi]).T
+            z_vals[idx] = 2.0 * lengths[lo:hi].sum()
+            try:
+                l_vals[idx] = 2.0 * _leray_sum(lengths[lo:hi], np.sqrt(_dot3(grads, grads)))
+            except (NearSingularSampleError, ValueError):
+                pass  # stays NaN, counted below
+            idx += 1
 
     good = ~np.isnan(l_vals)
     excluded = int(samples - good.sum())

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
-from conftest import sample_function, triangle_areas
+from conftest import triangle_areas
 
 
 def zonal_degree_one(coefficient=1.0):
@@ -61,6 +62,35 @@ def leray_sublevel(mesh, values, eps) -> float:
         e2_a, e2_b = eps[-2] ** 2, eps[-1] ** 2
         return float(raw[-1] + (raw[-1] - raw[-2]) * e2_b / (e2_a - e2_b))
     return float(raw[-1])
+
+
+@dataclass(frozen=True)
+class NodalSet:
+    """Zero-set polyline of one sample on one mesh."""
+
+    segments: np.ndarray        # (S, 2, 3) unit endpoints
+    lengths: np.ndarray         # (S,) great-circle length of each segment
+    total_length: float         # sum of ``lengths``
+    gradient_norms: np.ndarray  # (S,) |grad f| at segment midpoints
+
+
+def extract_nodal(sample, mesh, values) -> NodalSet:
+    """The zero-crossing segments of one draw whose values at the mesh
+    vertices are ``values``: the one-draw case of the Monte Carlo engine's
+    private steps (zero-vertex nudge, sign test, crossing geometry, one
+    gradient call), with the endpoints kept."""
+    vals = nd._vertex_values(sample, mesh, values)
+    lengths, mids, p1, p2 = nd._crossing_geometry(mesh, [(vals, nd._sign_changes(mesh, vals))])
+    grads = en.eval_gradient_ambient_many(sample, mids).T
+    return NodalSet(segments=np.stack(p1 + p2, axis=1).reshape(-1, 2, 3), lengths=lengths,
+                    total_length=float(lengths.sum()),
+                    gradient_norms=np.sqrt(nd._dot3(grads, grads)))
+
+
+def leray_estimate_line(nodal) -> float:
+    """Line-integral Leray estimate of one nodal set, under the engine's
+    exclusion rule (``nodal._leray_sum``)."""
+    return nd._leray_sum(nodal.lengths, nodal.gradient_norms)
 
 
 def sample_with_values(n, seed, mesh, basis_matrix=None):
@@ -111,8 +141,8 @@ def _rowwise_extract(sample, mesh, values):
     npos = pos.sum(axis=1)
     crossed = (npos == 1) | (npos == 2)
     if not np.any(crossed):
-        return nd.NodalSet(segments=np.empty((0, 2, 3)), lengths=np.empty(0),
-                           total_length=0.0, gradient_norms=np.empty(0))
+        return NodalSet(segments=np.empty((0, 2, 3)), lengths=np.empty(0),
+                        total_length=0.0, gradient_norms=np.empty(0))
     ft = f[crossed]
     vt = mesh.vertices[tri[crossed]]
     odd = np.where(npos[crossed] == 1, pos[crossed].argmax(axis=1),
@@ -131,8 +161,8 @@ def _rowwise_extract(sample, mesh, values):
     mids = p1 + p2
     mids /= np.linalg.norm(mids, axis=1)[:, None]
     gnorms = np.linalg.norm(_rowwise_gradients(sample, mids), axis=1)
-    return nd.NodalSet(segments=np.stack([p1, p2], axis=1), lengths=lengths,
-                       total_length=float(lengths.sum()), gradient_norms=gnorms)
+    return NodalSet(segments=np.stack([p1, p2], axis=1), lengths=lengths,
+                    total_length=float(lengths.sum()), gradient_norms=gnorms)
 
 
 def _rowwise_leray(nodal):
@@ -181,7 +211,7 @@ def assert_same_nodal(got, want):
 
 def test_zonal_nodal_line_is_equator(sphere_level5):
     sample = zonal_degree_one()
-    nodal = nd.extract_nodal(sample, sphere_level5, en.eval_many(sample, sphere_level5.vertices))
+    nodal = extract_nodal(sample, sphere_level5, en.eval_many(sample, sphere_level5.vertices))
     assert nodal.total_length == pytest.approx(2 * math.pi, rel=5e-3)
     # all segment endpoints on the equator
     z = np.abs(nodal.segments[:, :, 2])
@@ -190,23 +220,23 @@ def test_zonal_nodal_line_is_equator(sphere_level5):
 
 def test_zonal_leray_closed_form(sphere_level5):
     sample = zonal_degree_one()
-    nodal = nd.extract_nodal(sample, sphere_level5, en.eval_many(sample, sphere_level5.vertices))
+    nodal = extract_nodal(sample, sphere_level5, en.eval_many(sample, sphere_level5.vertices))
     grad = np.linalg.norm(en.eval_gradient_ambient_many(sample, np.array([[1.0, 0.0, 0.0]])))
-    assert nd.leray_estimate_line(sample, nodal) == pytest.approx(2 * math.pi / grad, rel=1e-4)
+    assert leray_estimate_line(nodal) == pytest.approx(2 * math.pi / grad, rel=1e-4)
 
 
 def test_no_sign_change_gives_empty_set():
     basis = en.HarmonicBasis(0)
     sample = en.HarmonicSample(basis=basis, a=np.array([2.0]), scale=1.0)
     mesh = ge.icosphere(2)
-    nodal = nd.extract_nodal(sample, mesh, en.eval_many(sample, mesh.vertices))
+    nodal = extract_nodal(sample, mesh, en.eval_many(sample, mesh.vertices))
     assert nodal.total_length == 0.0
     assert nodal.segments.shape == (0, 2, 3)
 
 
 def test_segment_endpoints_lie_on_sign_change_edges(mesh_level5):
     sample, values = sample_with_values(11, 5, mesh_level5)
-    nodal = nd.extract_nodal(sample, mesh_level5, values=values)
+    nodal = extract_nodal(sample, mesh_level5, values=values)
     # every endpoint must be a unit vector and f there must be near zero
     pts = nodal.segments.reshape(-1, 3)
     assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1)) < 1e-12
@@ -216,7 +246,7 @@ def test_segment_endpoints_lie_on_sign_change_edges(mesh_level5):
 
 def test_total_length_consistent_with_segments(mesh_level5):
     sample, values = sample_with_values(9, 2, mesh_level5)
-    nodal = nd.extract_nodal(sample, mesh_level5, values=values)
+    nodal = extract_nodal(sample, mesh_level5, values=values)
     dots = np.sum(nodal.segments[:, 0] * nodal.segments[:, 1], axis=1)
     lengths = np.arccos(np.clip(dots, -1, 1))
     assert nodal.total_length == pytest.approx(float(lengths.sum()), abs=1e-12)
@@ -224,13 +254,13 @@ def test_total_length_consistent_with_segments(mesh_level5):
 
 def test_leray_scaling_laws(mesh_level5):
     sample, values = sample_with_values(8, 3, mesh_level5)
-    nodal = nd.extract_nodal(sample, mesh_level5, values=values)
-    line = nd.leray_estimate_line(sample, nodal)
+    nodal = extract_nodal(sample, mesh_level5, values=values)
+    line = leray_estimate_line(nodal)
     b = 3.7
     scaled = en.HarmonicSample(basis=sample.basis, a=b * sample.a, scale=sample.scale)
-    nodal_b = nd.extract_nodal(scaled, mesh_level5, values=b * values)
+    nodal_b = extract_nodal(scaled, mesh_level5, values=b * values)
     assert nodal_b.total_length == pytest.approx(nodal.total_length, abs=1e-10)
-    assert nd.leray_estimate_line(scaled, nodal_b) == pytest.approx(line / b, rel=1e-10)
+    assert leray_estimate_line(nodal_b) == pytest.approx(line / b, rel=1e-10)
 
 
 def test_sublevel_scaling_law(mesh_level5):
@@ -297,9 +327,9 @@ def test_cross_estimator_agreement(sphere_level5, basis20, basis20_on_sphere5):
         a = en.rng_for(11, s).standard_normal(basis20.size)
         sample = en.HarmonicSample(basis=basis20, a=a, scale=scale)
         values = scale * (basis20_on_sphere5 @ a)
-        nodal = nd.extract_nodal(sample, sphere_level5, values=values)
+        nodal = extract_nodal(sample, sphere_level5, values=values)
         try:
-            line = nd.leray_estimate_line(sample, nodal)
+            line = leray_estimate_line(nodal)
         except (nd.NearSingularSampleError, ValueError):
             continue
         fmax = float(np.max(np.abs(values)))
@@ -320,8 +350,8 @@ def test_antipodal_symmetry(sphere_level5, basis20, basis20_on_sphere5):
     sample = en.HarmonicSample(basis=basis20, a=a, scale=scale)
     values = scale * (basis20_on_sphere5 @ a)
     reflected = en.eval_many(sample, -sphere_level5.vertices)
-    n1 = nd.extract_nodal(sample, sphere_level5, values=values)
-    n2 = nd.extract_nodal(sample, sphere_level5, values=reflected)
+    n1 = extract_nodal(sample, sphere_level5, values=values)
+    n2 = extract_nodal(sample, sphere_level5, values=reflected)
     assert n1.total_length == pytest.approx(n2.total_length, abs=1e-9)
 
 
@@ -338,7 +368,7 @@ def test_refinement_consistency(sphere_level5, sphere_level6, sphere_level7, bas
     a = en.rng_for(7, 0).standard_normal(basis20.size)
     sample = en.HarmonicSample(basis=basis20, a=a, scale=scale)
     l5, l6, l7 = (
-        nd.extract_nodal(sample, mesh, values=scale * (basis_matrix @ a)).total_length
+        extract_nodal(sample, mesh, values=scale * (basis_matrix @ a)).total_length
         for mesh, basis_matrix in (
             (sphere_level5, basis20_on_sphere5),
             (sphere_level6, en.eval_basis_many(basis20, sphere_level6.vertices)),
@@ -351,15 +381,13 @@ def test_refinement_consistency(sphere_level5, sphere_level6, sphere_level7, bas
 
 
 def test_near_singular_detection():
-    basis = en.HarmonicBasis(2)
-    sample = sample_function(basis, 1)
     segments = np.array([[[1.0, 0, 0], [0, 1.0, 0]]])
-    fake = nd.NodalSet(segments=segments, lengths=np.array([math.pi / 2]),
-                       total_length=math.pi / 2, gradient_norms=np.array([1e-12]))
+    fake = NodalSet(segments=segments, lengths=np.array([math.pi / 2]),
+                    total_length=math.pi / 2, gradient_norms=np.array([1e-12]))
     with pytest.raises(nd.NearSingularSampleError):
-        nd.leray_estimate_line(sample, fake)
+        leray_estimate_line(fake)
     with pytest.raises(ValueError):
-        nd.leray_estimate_line(sample, nd.NodalSet(
+        leray_estimate_line(NodalSet(
             segments=np.empty((0, 2, 3)), lengths=np.empty(0), total_length=0.0,
             gradient_norms=np.empty(0)))
 
@@ -408,10 +436,8 @@ def test_monte_carlo_rejects_higher_dimensions():
 
 
 def test_monte_carlo_rejects_runs_that_leave_no_leray_variance(monkeypatch):
-    def near_singular(sample, nodal):
-        raise nd.NearSingularSampleError("vanishing gradient on the nodal set")
-
-    monkeypatch.setattr(nd, "leray_estimate_line", near_singular)
+    # every midpoint gradient falls below an infinite threshold
+    monkeypatch.setattr(nd, "MIN_MIDPOINT_GRADIENT", math.inf)
     with pytest.raises(ValueError, match="3 of 3 samples excluded"):
         nd.monte_carlo_experiment(sf.SphereModel(2, 5), 3, samples=3, seed=0)
 
@@ -422,22 +448,22 @@ def test_extract_nodal_matches_rowwise_oracle(level, n, request):
     basis_matrix = en.eval_basis_many(en.HarmonicBasis(n), mesh.vertices)
     for seed in range(3):
         sample, values = sample_with_values(n, (level, seed), mesh, basis_matrix)
-        got = nd.extract_nodal(sample, mesh, values=values)
+        got = extract_nodal(sample, mesh, values=values)
         assert got.segments.shape[0] > 0
         assert_same_nodal(got, _rowwise_extract(sample, mesh, values))
-        assert nd.leray_estimate_line(sample, got) == _rowwise_leray(got)
+        assert leray_estimate_line(got) == _rowwise_leray(got)
 
 
 def test_extract_nodal_matches_rowwise_oracle_at_edge_cases(sphere_level5):
     # no crossing: a positive constant
     constant = en.HarmonicSample(basis=en.HarmonicBasis(0), a=np.array([2.0]), scale=1.0)
     ones = np.ones(sphere_level5.vertices.shape[0])
-    assert_same_nodal(nd.extract_nodal(constant, sphere_level5, values=ones),
+    assert_same_nodal(extract_nodal(constant, sphere_level5, values=ones),
                       _rowwise_extract(constant, sphere_level5, ones))
     # exact zero vertex values take the nudge path
     sample, values = sample_with_values(11, 4, sphere_level5)
     values[[3, 400, 9000]] = 0.0
-    assert_same_nodal(nd.extract_nodal(sample, sphere_level5, values=values),
+    assert_same_nodal(extract_nodal(sample, sphere_level5, values=values),
                       _rowwise_extract(sample, sphere_level5, values))
     # f = x (up to scale) vanishes on the meridian through both poles, which
     # are mesh vertices: the poles are nudged and midpoints crowd them
@@ -448,7 +474,7 @@ def test_extract_nodal_matches_rowwise_oracle_at_edge_cases(sphere_level5):
     pole_rows = np.flatnonzero(
         np.all(sphere_level5.vertices[:, None] == poles, axis=2).any(axis=1))
     assert pole_rows.size == 2 and np.all(np.abs(x_values[pole_rows]) < nd.ZERO_VERTEX_TOL)
-    got = nd.extract_nodal(x_sample, sphere_level5, values=x_values)
+    got = extract_nodal(x_sample, sphere_level5, values=x_values)
     assert_same_nodal(got, _rowwise_extract(x_sample, sphere_level5, x_values))
     mids = got.segments.sum(axis=1)
     mids /= np.linalg.norm(mids, axis=1)[:, None]
@@ -568,3 +594,137 @@ def test_streamed_experiment_never_holds_the_basis_matrix(mesh_level7):
     finally:
         tracemalloc.stop()
     assert peak < basis_bytes / 2
+
+
+# Draw chunks: consecutive draws share one pass of the crossing geometry
+# (``nodal._draw_chunks``).  Every report below must equal the row-wise
+# loop bit for bit, whatever the chunks hold.
+
+def _record_chunks(monkeypatch):
+    """Per pass of the crossing geometry, the crossing count of each draw."""
+    chunks = []
+    geometry = nd._crossing_geometry
+
+    def recording(mesh, draws):
+        chunks.append([crossed.size for _, (crossed, _) in draws])
+        return geometry(mesh, draws)
+
+    monkeypatch.setattr(nd, "_crossing_geometry", recording)
+    return chunks
+
+
+def _assert_chunking_rule(chunks, samples):
+    """A chunk stays within the crossing budget unless it is one draw, and
+    closes only when its next draw would take it past the budget."""
+    budget = nd._CHUNK_CROSSINGS
+    assert sum(len(c) for c in chunks) == samples
+    assert all(len(c) == 1 or sum(c) <= budget for c in chunks)
+    assert all(sum(c) + nxt[0] > budget for c, nxt in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chunked_report_matches_rowwise_loop(monkeypatch, mesh_level5, n):
+    # a few hundred crossings per draw on the level-5 half: dozens of draws
+    # share each pass
+    chunks = _record_chunks(monkeypatch)
+    model = sf.SphereModel(2, n)
+    got = nd.monte_carlo_experiment(model, 5, 300, seed=n, mesh=mesh_level5)
+    assert got.as_dict() == _rowwise_report(model, 5, 300, n, mesh_level5)
+    _assert_chunking_rule(chunks, 300)
+    assert min(len(c) for c in chunks[:-1]) > 10
+
+
+def test_draws_past_the_crossing_budget_run_alone(monkeypatch, mesh_level6):
+    # about 10,000 crossings per draw at n = 40 on the level-6 half; 82 draws
+    # against 81 basis columns take the basis matrix, whose gemv the row-wise
+    # loop repeats exactly
+    chunks = _record_chunks(monkeypatch)
+    model = sf.SphereModel(2, 40)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*under-resolved")
+        got = nd.monte_carlo_experiment(model, 6, 82, seed=4, mesh=mesh_level6)
+    assert got.as_dict() == _rowwise_report(model, 6, 82, 4, mesh_level6)
+    _assert_chunking_rule(chunks, 82)
+    assert all(len(c) == 1 and c[0] > nd._CHUNK_CROSSINGS for c in chunks)
+
+
+def test_chunk_with_excluded_draws_matches_rowwise_loop(monkeypatch, mesh_level5):
+    # a threshold near the median of the draws' smallest midpoint gradients
+    # excludes about half the draws of every chunk
+    chunks = _record_chunks(monkeypatch)
+    monkeypatch.setattr(nd, "MIN_MIDPOINT_GRADIENT", 1.44)
+    model = sf.SphereModel(2, 3)
+    with pytest.warns(UserWarning, match="excluded as near-singular"):
+        got = nd.monte_carlo_experiment(model, 5, 60, seed=5, mesh=mesh_level5).as_dict()
+    assert got == _rowwise_report(model, 5, 60, 5, mesh_level5)
+    assert 0 < got["excluded"] < 60
+    assert max(len(c) for c in chunks) > 10
+
+
+def test_chunk_with_nudged_zero_vertices_matches_rowwise_loop(monkeypatch, mesh_level5):
+    # with the tolerance at 1e-3 a few vertices of every draw count as zeros
+    # and are re-evaluated a nudge along their first edge
+    chunks = _record_chunks(monkeypatch)
+    monkeypatch.setattr(nd, "ZERO_VERTEX_TOL", 1e-3)
+    nudged = []
+    evaluate = en.eval_many
+
+    def recording(sample, points):
+        nudged.append(points.shape[0])
+        return evaluate(sample, points)
+
+    model = sf.SphereModel(2, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(en, "eval_many", recording)
+        got = nd.monte_carlo_experiment(model, 5, 60, seed=6, mesh=mesh_level5).as_dict()
+    assert got == _rowwise_report(model, 5, 60, 6, mesh_level5)
+    assert len(nudged) > 30 and sum(nudged) > 100
+    assert max(len(c) for c in chunks) > 10
+
+
+@pytest.mark.parametrize("n,level,samples", [(3, 5, 40), (40, 7, 3)],
+                         ids=["chunked", "one-per-chunk"])
+def test_gradients_evaluated_once_per_draw_at_its_midpoints(monkeypatch, request, n, level,
+                                                            samples):
+    # one gradient call per draw, on exactly the row-wise loop's midpoints:
+    # the chunks share the crossing geometry, never a gradient block
+    mesh = request.getfixturevalue(f"mesh_level{level}")
+    calls = []
+    evaluate = en.eval_gradient_ambient_many
+
+    def recording(sample, points):
+        calls.append((sample.a, np.array(points)))
+        return evaluate(sample, points)
+
+    model = sf.SphereModel(2, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(en, "eval_gradient_ambient_many", recording)
+        nd.monte_carlo_experiment(model, level, samples, seed=7, mesh=mesh)
+    assert len(calls) == samples
+    basis = en.HarmonicBasis(n)
+    scale = math.sqrt(4.0 * math.pi / basis.size)
+    basis_matrix = en.eval_basis_many(basis, mesh.vertices)
+    for idx, (a, points) in enumerate(calls):
+        assert np.array_equal(a, en.rng_for(7, idx).standard_normal(basis.size))
+        sample = en.HarmonicSample(basis=basis, a=a, scale=scale)
+        segments = _rowwise_extract(sample, mesh, scale * (basis_matrix @ a)).segments
+        mids = segments[:, 0] + segments[:, 1]
+        mids /= np.linalg.norm(mids, axis=1)[:, None]
+        assert np.array_equal(points, mids)
+
+
+def test_chunked_experiment_peak_memory(mesh_level5):
+    # the chunks' crossing arrays must not raise the traced peak of a
+    # basis-matrix run by more than 0.5 MB over the per-draw extraction's
+    # 3,669,683 bytes (numpy 2.4, seed 3, after the warm-up run)
+    model = sf.SphereModel(2, 20)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*under-resolved")
+        nd.monte_carlo_experiment(model, 5, 2, seed=0, mesh=mesh_level5)  # warm caches
+        tracemalloc.start()
+        try:
+            nd.monte_carlo_experiment(model, 5, 300, seed=3, mesh=mesh_level5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 3_669_683 + 500_000
