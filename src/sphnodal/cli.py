@@ -234,7 +234,7 @@ def _cmd_covariance_check(cfg: RunConfig):
         degenerate = int(np.count_nonzero(covariance.degenerate(eigs, scan.scale)))
         min_eig = float(eigs.min()) / scan.scale
         fd_grid = np.linspace(0.4, math.pi - 0.4, 7)
-        fd = np.array([covariance.finite_difference_blocks(model, th) for th in fd_grid])
+        fd = np.stack(covariance.finite_difference_blocks(model, fd_grid), axis=-1)
         at_fd = covariance.blocks_at(model, fd_grid)
         closed = np.stack((at_fd.u, at_fd.d_long, at_fd.h_long, at_fd.h_trans), axis=-1)
         fd_err = float(np.max(np.abs(fd - closed))) / max(1.0, at_fd.scale)

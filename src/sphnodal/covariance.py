@@ -5,9 +5,17 @@ and in the geodesic-aligned frame every covariance block reduces to four
 scalars: u itself, the single nonzero gradient cross term d_long, and the
 longitudinal/transverse entries of the mixed second-derivative matrix H.
 Isotropy makes H diagonal with one longitudinal and m-1 equal transverse
-entries; the closed forms below are pinned by finite-difference oracles on
-the two-point function in the test suite.  A record holds these scalars as
-arrays with the shape of the separation angles.
+entries.  A record holds these scalars as arrays with the shape of the
+separation angles.
+
+The closed forms are checked against central differences of the two-point
+function with step h (``finite_difference_blocks``).  Every point pair of
+the stencil lies at a separation with a closed-form cosine: cos(theta + k h)
+for steps along the geodesic and cos theta cos^2 h +- sin^2 h for steps
+across it, so no frame vectors are built.  The differences carry O(h^2)
+truncation and O(ulp/h^2) roundoff, about 1e-8 at h = 1e-4.  The test suite
+pins these arguments and their signs with explicit geodesic steps in
+aligned frames.
 
 The reduced covariance Omega of the two gradients, conditioned on double
 vanishing, pairs coordinate j at x with coordinate j at y.  Every block is
@@ -30,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .specfun import SphereModel, gegenbauer_eval_arrays, gegenbauer_q
 
 __all__ = [
@@ -75,6 +82,15 @@ class CovarianceBlocks:
     scale: float  # E/m, the gradient variance per direction
 
 
+def _check_theta(theta) -> np.ndarray:
+    """Separation angles as a float array, refused unless each lies strictly
+    inside (0, pi), where the aligned frames exist."""
+    theta = np.asarray(theta, dtype=float)
+    if np.any((theta <= 0.0) | (theta >= np.pi)):
+        raise ValueError("separation angle must lie strictly inside (0, pi)")
+    return theta
+
+
 def blocks_at(model: SphereModel, theta) -> CovarianceBlocks:
     """Covariance scalars at separation angles in (0, pi), scalar or array.
 
@@ -82,9 +98,7 @@ def blocks_at(model: SphereModel, theta) -> CovarianceBlocks:
     u = q, d_long = q' sin theta, h_long = -(1-t^2) q'' + t q',
     h_trans = q'.  First frame vector at x points toward y.
     """
-    theta = np.asarray(theta, dtype=float)
-    if np.any((theta <= 0.0) | (theta >= np.pi)):
-        raise ValueError("separation angle must lie strictly inside (0, pi)")
+    theta = _check_theta(theta)
     t = np.cos(theta)
     q, dq, d2q = gegenbauer_eval_arrays(model, t)
     h_long = -(1.0 - t * t) * d2q + t * dq
@@ -159,32 +173,31 @@ def sigma_norm(eigs: np.ndarray, scale: float) -> np.ndarray:
     return np.abs(1.0 - eigs / scale).max(axis=(-2, -1))
 
 
-def finite_difference_blocks(model: SphereModel, theta: float):
+def finite_difference_blocks(model: SphereModel, theta):
     """Ground-truth (u, d_long, h_long, h_trans) from central differences of
-    the two-point function Q(cos d(x, y)) along the aligned-frame directions.
+    the two-point function Q(cos d(x, y)) along the aligned-frame directions,
+    at separation angles in (0, pi), scalar or array.
 
-    Pins both the closed forms and the sign conventions; errors are
-    O(FD_STEP^2) times fourth derivatives of Q, so keep the degree moderate.
+    Each point pair of the stencil lies at a separation with a closed-form
+    cosine, so the eleven arguments of Q need no frame vectors.  Stepping x
+    by s_x toward y and y by s_y away from x gives cos(theta - s_x + s_y);
+    stepping both by +-h along a shared transverse direction gives
+    cos theta cos^2 h + sin^2 h for equal signs and cos theta cos^2 h - sin^2 h
+    for opposite ones.  The errors are O(h^2) truncation, times fourth
+    derivatives of Q, and O(ulp/h^2) roundoff of the second differences,
+    about 1e-8 at h = FD_STEP = 1e-4, so keep the degree moderate.
     """
-    m, h = model.m, FD_STEP
-    pole = geometry.north_pole(m)
-    x = math.sin(theta) * np.eye(m + 1)[0] + math.cos(theta) * pole
-    frame_x, frame_y = geometry.aligned_frames(x, pole)
-
-    e1x, e1y = frame_x.vectors[0], frame_y.vectors[0]
-    v2x, v2y = frame_x.vectors[1], frame_y.vectors[1]
-    step_x = lambda v, s: geometry.sphere_exp(x, v, s)
-    step_y = lambda v, s: geometry.sphere_exp(pole, v, s)
-
-    # the eleven point pairs whose two-point function enters the differences,
+    theta = _check_theta(theta)
+    h = FD_STEP
+    t = np.cos(theta)
+    c2, s2 = math.cos(h) ** 2, math.sin(h) ** 2
+    along = [np.cos(theta + k * h) for k in (-1, 1, 0, -2, 2, 0)]
+    same, opposite = t * c2 + s2, t * c2 - s2
+    # value, d_long pair (x stepped by +-h), longitudinal pairs and transverse
+    # pairs in the order (s_x, s_y) = (h, h), (h, -h), (-h, h), (-h, -h),
     # evaluated in one recurrence
-    pairs = [(x, pole), (step_x(e1x, h), pole), (step_x(e1x, -h), pole)]
-    for vx, vy in ((e1x, e1y), (v2x, v2y)):
-        pairs += [(step_x(vx, sx), step_y(vy, sy)) for sx in (h, -h) for sy in (h, -h)]
-    u = gegenbauer_q(model, np.clip([np.dot(a, b) for a, b in pairs], -1.0, 1.0)).tolist()
-
-    u0 = u[0]
+    u = gegenbauer_q(model, np.clip([t, *along, same, opposite, opposite, same], -1.0, 1.0))
     d_long = (u[1] - u[2]) / (2 * h)
     h_long = (u[3] - u[4] - u[5] + u[6]) / (4 * h * h)
     h_trans = (u[7] - u[8] - u[9] + u[10]) / (4 * h * h)
-    return u0, d_long, h_long, h_trans
+    return u[0], d_long, h_long, h_trans

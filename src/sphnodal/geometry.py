@@ -1,9 +1,7 @@
-"""Sphere geometry: volumes, geodesic steps, geodesic-aligned frames, and
-the icosphere used for nodal extraction on S^2, built as its antipodal
-half: 10 * 4^level triangles, one of each antipodal pair.
-
-Points are unit vectors in R^{m+1} held as plain numpy arrays.  The north
-pole is the last coordinate axis.
+"""Sphere geometry: the volume of the unit m-sphere, and the icosphere used
+for nodal extraction on S^2, built as its antipodal half: 10 * 4^level
+triangles, one of each antipodal pair.  Points are unit vectors held as
+plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -14,29 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TangentFrame",
     "IcoMesh",
     "sphere_volume",
-    "north_pole",
-    "sphere_exp",
-    "aligned_frames",
     "icosphere",
 ]
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal basis of the tangent space at a point.
-
-    ``vectors`` has shape (m, m+1); row i is the i-th frame vector in
-    ambient coordinates.
-    """
-
-    base: np.ndarray
-    vectors: np.ndarray
-
-    def coords(self, ambient_vector: np.ndarray) -> np.ndarray:
-        return self.vectors @ ambient_vector
 
 
 @dataclass(frozen=True)
@@ -56,62 +35,6 @@ def sphere_volume(m: int) -> float:
     return math.exp(
         math.log(2.0) + ((m + 1) / 2.0) * math.log(math.pi) - math.lgamma((m + 1) / 2.0)
     )
-
-
-def north_pole(m: int) -> np.ndarray:
-    p = np.zeros(m + 1)
-    p[-1] = 1.0
-    return p
-
-
-def sphere_exp(x: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    """Geodesic step of length s from x in the unit tangent direction v."""
-    return math.cos(s) * x + math.sin(s) * v
-
-
-def _complement_basis(x: np.ndarray, e1: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(x, e1)^perp in R^{m+1}."""
-    dim = x.size
-    basis = [x, e1]
-    out = []
-    for i in range(dim):
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            v /= norm
-            basis.append(v)
-            out.append(v)
-        if len(out) == dim - 2:
-            break
-    return np.array(out)
-
-
-def aligned_frames(x: np.ndarray, y: np.ndarray) -> tuple[TangentFrame, TangentFrame]:
-    """Frames at x and y adapted to the connecting geodesic.
-
-    The first vector at x points toward y, the first vector at y continues
-    the geodesic away from x (they are parallel transports of each other),
-    and the remaining vectors are a shared orthonormal basis of the
-    transversal subspace, which transport leaves pointwise fixed.  With this
-    choice the coordinates of grad_x d(x,y) are (-1, 0, ...) and those of
-    grad_y d(x,y) are (+1, 0, ...).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = float(np.clip(np.dot(x, y), -1.0, 1.0))
-    if 1.0 - abs(c) < 1e-12:
-        raise ValueError("aligned frames are undefined for coincident or antipodal points")
-    d = math.acos(c)
-    s = math.sin(d)
-    e1x = (y - c * x) / s        # toward y
-    e1y = (c * y - x) / s        # away from x
-    trans = _complement_basis(x, e1x)
-    frame_x = TangentFrame(base=x, vectors=np.vstack([e1x, trans]))
-    frame_y = TangentFrame(base=y, vectors=np.vstack([e1y, trans]))
-    return frame_x, frame_y
 
 
 # ---------------------------------------------------------------------------

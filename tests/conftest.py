@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -122,6 +123,97 @@ def antipodal_half_by_unique(mesh: geometry.IcoMesh) -> geometry.IcoMesh:
     used, numbers = np.unique(half, return_inverse=True)
     return geometry.IcoMesh(vertices=mesh.vertices[used], triangles=numbers.reshape(-1, 3),
                             edge_length_max=mesh.edge_length_max)
+
+
+@dataclass(frozen=True)
+class TangentFrame:
+    """Orthonormal basis of the tangent space at a point.
+
+    ``vectors`` has shape (m, m+1); row i is the i-th frame vector in
+    ambient coordinates.
+    """
+
+    base: np.ndarray
+    vectors: np.ndarray
+
+    def coords(self, ambient_vector: np.ndarray) -> np.ndarray:
+        return self.vectors @ ambient_vector
+
+
+def north_pole(m: int) -> np.ndarray:
+    """The last coordinate axis of R^{m+1}."""
+    p = np.zeros(m + 1)
+    p[-1] = 1.0
+    return p
+
+
+def sphere_exp(x: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """Geodesic step of length s from x in the unit tangent direction v."""
+    return math.cos(s) * x + math.sin(s) * v
+
+
+def _complement_basis(x: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of span(x, e1)^perp in R^{m+1}."""
+    dim = x.size
+    basis = [x, e1]
+    out = []
+    for i in range(dim):
+        v = np.zeros(dim)
+        v[i] = 1.0
+        for b in basis:
+            v = v - np.dot(v, b) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            v /= norm
+            basis.append(v)
+            out.append(v)
+        if len(out) == dim - 2:
+            break
+    return np.array(out)
+
+
+def aligned_frames(x: np.ndarray, y: np.ndarray) -> tuple[TangentFrame, TangentFrame]:
+    """Frames at x and y adapted to the connecting geodesic.
+
+    The first vector at x points toward y, the first vector at y continues
+    the geodesic away from x (they are parallel transports of each other),
+    and the remaining vectors are a shared orthonormal basis of the
+    transversal subspace, which transport leaves pointwise fixed.  With this
+    choice the coordinates of grad_x d(x,y) are (-1, 0, ...) and those of
+    grad_y d(x,y) are (+1, 0, ...).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    c = float(np.clip(np.dot(x, y), -1.0, 1.0))
+    if 1.0 - abs(c) < 1e-12:
+        raise ValueError("aligned frames are undefined for coincident or antipodal points")
+    d = math.acos(c)
+    s = math.sin(d)
+    e1x = (y - c * x) / s        # toward y
+    e1y = (c * y - x) / s        # away from x
+    trans = _complement_basis(x, e1x)
+    frame_x = TangentFrame(base=x, vectors=np.vstack([e1x, trans]))
+    frame_y = TangentFrame(base=y, vectors=np.vstack([e1y, trans]))
+    return frame_x, frame_y
+
+
+def finite_difference_pairs(m: int, theta: float, h: float) -> list:
+    """The eleven point pairs of ``covariance.finite_difference_blocks``'s
+    stencil, built with geodesic steps in the aligned frames of x at angle
+    theta from the north pole y: (x, y); x stepped by +-h toward y; then
+    (x, y) stepped along their first frame vectors and along the first
+    transversal vector, each by (s_x, s_y) = (h, h), (h, -h), (-h, h),
+    (-h, -h)."""
+    pole = north_pole(m)
+    x = math.sin(theta) * np.eye(m + 1)[0] + math.cos(theta) * pole
+    frame_x, frame_y = aligned_frames(x, pole)
+    e1x, e1y = frame_x.vectors[0], frame_y.vectors[0]
+    v2x, v2y = frame_x.vectors[1], frame_y.vectors[1]
+    pairs = [(x, pole), (sphere_exp(x, e1x, h), pole), (sphere_exp(x, e1x, -h), pole)]
+    for vx, vy in ((e1x, e1y), (v2x, v2y)):
+        pairs += [(sphere_exp(x, vx, sx), sphere_exp(pole, vy, sy))
+                  for sx in (h, -h) for sy in (h, -h)]
+    return pairs
 
 
 def c_tilde(m: int) -> float:

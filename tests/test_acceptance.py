@@ -21,7 +21,7 @@ from sphnodal import moments as mo
 from sphnodal import nodal as nd
 from sphnodal import specfun as sf
 
-from conftest import epsilon_rate, hilb_approx
+from conftest import aligned_frames, epsilon_rate, hilb_approx, north_pole
 
 
 def check(name, conditions):
@@ -225,9 +225,9 @@ def test_criterion_7_covariance_machinery():
 
     # ensemble covariance oracle, 1e5 samples
     theta = 0.9
-    pole = ge.north_pole(2)
+    pole = north_pole(2)
     x = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    frame_x, frame_y = ge.aligned_frames(x, pole)
+    frame_x, frame_y = aligned_frames(x, pole)
     z_worst = 0.0
     for n in (5, 10):
         model = sf.SphereModel(2, n)

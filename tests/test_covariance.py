@@ -6,6 +6,8 @@ import pytest
 from sphnodal import covariance as cv
 from sphnodal import specfun as sf
 
+from conftest import aligned_frames, finite_difference_pairs, north_pole
+
 
 def omega_matrix(blocks: cv.CovarianceBlocks) -> np.ndarray:
     """Reduced 2m x 2m covariance of the gradients given f(x) = f(y) = 0,
@@ -55,6 +57,70 @@ def test_blocks_domain():
         cv.blocks_at(model, 0.0)
     with pytest.raises(ValueError):
         cv.blocks_at(model, math.pi)
+
+
+def test_finite_difference_blocks_domain():
+    model = sf.SphereModel(2, 3)
+    for theta in (0.0, math.pi, [0.5, 0.0], np.array([1.0, math.pi])):
+        with pytest.raises(ValueError):
+            cv.finite_difference_blocks(model, theta)
+
+
+# covariance-check's finite-difference grid
+FD_GRID = np.linspace(0.4, math.pi - 0.4, 7)
+
+
+def _difference_quotients(u, h):
+    """(u, d_long, h_long, h_trans) from the two-point function at the
+    eleven stencil pairs, in the order of ``finite_difference_pairs``."""
+    return (u[0], (u[1] - u[2]) / (2 * h), (u[3] - u[4] - u[5] + u[6]) / (4 * h * h),
+            (u[7] - u[8] - u[9] + u[10]) / (4 * h * h))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_finite_difference_arguments_match_geodesic_steps(m, monkeypatch):
+    # the cosines the closed form hands to Q are the dot products of the
+    # stencil's point pairs, built with explicit steps in aligned frames
+    recorded = []
+
+    def recording(model, t):
+        recorded.append(np.array(t))
+        return sf.gegenbauer_q(model, t)
+
+    monkeypatch.setattr(cv, "gegenbauer_q", recording)
+    model = sf.SphereModel(m, 5)
+    for theta in (0.4, 1.2, 2.4, math.pi - 0.4):
+        recorded.clear()
+        cv.finite_difference_blocks(model, theta)
+        dots = [np.dot(a, b) for a, b in finite_difference_pairs(m, theta, cv.FD_STEP)]
+        assert len(recorded) == 1 and recorded[0].shape == (11,)
+        assert np.max(np.abs(recorded[0] - dots)) <= 4e-16
+
+
+@pytest.mark.parametrize("m, degrees", [(2, (2, 3, 5, 10, 20, 40, 80)), (3, (3, 10, 25))])
+def test_finite_difference_blocks_match_frame_oracle(m, degrees):
+    h = cv.FD_STEP
+    for n in degrees:
+        model = sf.SphereModel(m, n)
+        got = np.stack(cv.finite_difference_blocks(model, FD_GRID), axis=-1)
+        for theta, row in zip(FD_GRID, got):
+            dots = [np.dot(a, b) for a, b in finite_difference_pairs(m, float(theta), h)]
+            want = _difference_quotients(sf.gegenbauer_q(model, np.clip(dots, -1.0, 1.0)), h)
+            assert np.max(np.abs(row - want)) <= 1e-8 * max(1.0, model.E / m)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_finite_difference_blocks_array_matches_scalar(m):
+    model = sf.SphereModel(m, 12)
+    thetas = np.linspace(0.03, math.pi - 0.03, 41)
+    many = cv.finite_difference_blocks(model, thetas)
+    for values in many:
+        assert values.shape == thetas.shape
+    for i, theta in enumerate(thetas):
+        one = cv.finite_difference_blocks(model, float(theta))
+        for got, want in zip(one, many):
+            assert np.ndim(got) == 0
+            assert got == want[i]
 
 
 def test_blocks_match_finite_differences():
@@ -219,12 +285,11 @@ def test_sigma_matches_ensemble_covariance():
     # empirical covariance of (f(x), f(N), grad f(x), grad f(N)) in the
     # aligned frames, 1e5 samples, every entry within 4 standard errors
     from sphnodal import ensemble as en
-    from sphnodal import geometry as ge
 
     theta = 0.9
-    pole = ge.north_pole(2)
+    pole = north_pole(2)
     x = np.array([math.sin(theta), 0.0, math.cos(theta)])
-    frame_x, frame_y = ge.aligned_frames(x, pole)
+    frame_x, frame_y = aligned_frames(x, pole)
     for n in (5, 10):
         model = sf.SphereModel(2, n)
         basis = en.HarmonicBasis(n)

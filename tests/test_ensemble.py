@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from sphnodal import ensemble as en
-from sphnodal import geometry as ge
 from sphnodal import specfun as sf
 
-from conftest import sample_function, unit_points
+from conftest import north_pole, sample_function, sphere_exp, unit_points
 
 
 def value_at(sample, x):
@@ -128,8 +127,8 @@ def test_gradient_matches_finite_differences():
         grad = frame @ gradient_at(sample, x)
         for i in range(2):
             h = 1e-5
-            fd = (value_at(sample, ge.sphere_exp(x, frame[i], h))
-                  - value_at(sample, ge.sphere_exp(x, frame[i], -h))) / (2 * h)
+            fd = (value_at(sample, sphere_exp(x, frame[i], h))
+                  - value_at(sample, sphere_exp(x, frame[i], -h))) / (2 * h)
             assert fd == pytest.approx(grad[i], rel=1e-6, abs=1e-8)
 
 
@@ -147,7 +146,7 @@ def test_gradient_norm_frame_invariant():
 def test_gradient_at_north_pole():
     basis = en.HarmonicBasis(11)
     sample = sample_function(basis, 17)
-    grad = gradient_at(sample, ge.north_pole(2))
+    grad = gradient_at(sample, north_pole(2))
     h = 1e-6
     fd_x = (value_at(sample, np.array([math.sin(h), 0, math.cos(h)]))
             - value_at(sample, np.array([-math.sin(h), 0, math.cos(h)]))) / (2 * h)
@@ -162,7 +161,7 @@ def test_gradient_at_south_pole():
     h = 1e-5
     for n in (4, 7):  # even and odd degree
         sample = sample_function(en.HarmonicBasis(n), 1)
-        grad = gradient_at(sample, -ge.north_pole(2))
+        grad = gradient_at(sample, -north_pole(2))
         for axis in range(2):
             step = np.zeros(3)
             step[axis] = math.sin(h)
@@ -200,8 +199,8 @@ def test_basis_on_aligned_slices_equals_full_matrix_rows(mesh_level6):
 def test_gradient_pole_handling_in_second_block():
     sample = sample_function(en.HarmonicBasis(6), 2)
     pts = _points_past_one_block()
-    pts[en._BLOCK + 2] = ge.north_pole(2)
-    pts[en._BLOCK + 3] = -ge.north_pole(2)
+    pts[en._BLOCK + 2] = north_pole(2)
+    pts[en._BLOCK + 3] = -north_pole(2)
     grads = en.eval_gradient_ambient_many(sample, pts)
     for i in (en._BLOCK + 2, en._BLOCK + 3):
         assert np.array_equal(grads[i], gradient_at(sample, pts[i]))
@@ -366,7 +365,7 @@ def test_degree_one_gradient_is_exact():
     sample = sample_function(en.HarmonicBasis(1), 12)
     c = np.array([value_at(sample, e) for e in np.eye(3)])
     pts = unit_points(np.random.default_rng(2), 200)
-    pts[:2] = [ge.north_pole(2), -ge.north_pole(2)]
+    pts[:2] = [north_pole(2), -north_pole(2)]
     want = c - (pts @ c)[:, None] * pts
     assert np.max(np.abs(en.eval_gradient_ambient_many(sample, pts) - want)) <= 1e-14
 
@@ -401,9 +400,9 @@ def test_laplacian_eigenfunction_property():
         f0 = value_at(sample, x)
         lap = 0.0
         for i in range(2):
-            lap += (value_at(sample, ge.sphere_exp(x, frame[i], h))
+            lap += (value_at(sample, sphere_exp(x, frame[i], h))
                     - 2 * f0
-                    + value_at(sample, ge.sphere_exp(x, frame[i], -h))) / h**2
+                    + value_at(sample, sphere_exp(x, frame[i], -h))) / h**2
         assert abs(lap + model.E * f0) <= 1e-3 * model.E * sup
 
 

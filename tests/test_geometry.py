@@ -9,8 +9,8 @@ from numpy.polynomial.legendre import leggauss
 from sphnodal import geometry as ge
 from sphnodal import moments as mo
 
-from conftest import (antipodal_half_by_unique, icosphere_by_sorted_edges, triangle_areas,
-                      unit_points)
+from conftest import (aligned_frames, antipodal_half_by_unique, icosphere_by_sorted_edges,
+                      sphere_exp, triangle_areas, unit_points)
 
 
 def distance(x, y):
@@ -49,7 +49,7 @@ def test_aligned_frames_gradient_coordinates():
             d = distance(x, y)
             if d < 0.05 or d > math.pi - 0.05:
                 continue
-            fx, fy = ge.aligned_frames(x, y)
+            fx, fy = aligned_frames(x, y)
             grad_x = (math.cos(d) * x - y) / math.sin(d)
             grad_y = (math.cos(d) * y - x) / math.sin(d)
             cx = fx.coords(grad_x)
@@ -62,11 +62,11 @@ def test_aligned_frames_gradient_coordinates():
 def test_aligned_frames_match_finite_difference_gradient():
     rng = np.random.default_rng(2)
     x, y = unit_points(rng, 2)
-    fx, _ = ge.aligned_frames(x, y)
+    fx, _ = aligned_frames(x, y)
     h = 1e-6
     for i in range(2):
-        fd = (distance(ge.sphere_exp(x, fx.vectors[i], h), y)
-              - distance(ge.sphere_exp(x, fx.vectors[i], -h), y)) / (2 * h)
+        fd = (distance(sphere_exp(x, fx.vectors[i], h), y)
+              - distance(sphere_exp(x, fx.vectors[i], -h), y)) / (2 * h)
         grad_x = (math.cos(distance(x, y)) * x - y) / math.sin(distance(x, y))
         assert fd == pytest.approx(float(np.dot(grad_x, fx.vectors[i])), rel=1e-6, abs=1e-9)
 
@@ -74,8 +74,8 @@ def test_aligned_frames_match_finite_difference_gradient():
 def test_aligned_frames_swap_flips_first_vectors():
     rng = np.random.default_rng(4)
     x, y = unit_points(rng, 2)
-    fx, fy = ge.aligned_frames(x, y)
-    gy, gx = ge.aligned_frames(y, x)
+    fx, fy = aligned_frames(x, y)
+    gy, gx = aligned_frames(y, x)
     assert np.allclose(fx.vectors[0], -gx.vectors[0], atol=1e-12)
     assert np.allclose(fy.vectors[0], -gy.vectors[0], atol=1e-12)
 
@@ -83,9 +83,9 @@ def test_aligned_frames_swap_flips_first_vectors():
 def test_aligned_frames_rejects_poles():
     x = np.array([0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
-        ge.aligned_frames(x, x)
+        aligned_frames(x, x)
     with pytest.raises(ValueError):
-        ge.aligned_frames(x, -x)
+        aligned_frames(x, -x)
 
 
 def test_icosphere_counts():
