@@ -202,21 +202,14 @@ def _cmd_volume_variance(cfg: RunConfig):
 
 
 def _cmd_mc_verify(cfg: RunConfig):
-    columns = ["m", "n", "N", "E", "samples", "mesh_level", "seed",
-               "mean_Z", "var_Z", "se_Z", "mean_L", "var_L", "se_L",
-               "theory_EZ", "theory_EL", "theory_varL",
-               "ratio_Z", "ratio_L", "ratio_varL", "excluded"]
-    rows = []
     models = [specfun.SphereModel(cfg.m, n) for n in cfg.n]
     for model in models:  # every degree is checked before the mesh is built
         nodal.check_experiment(model, cfg.samples)
     mesh = geometry.icosphere(cfg.mesh_level)  # one mesh serves every degree
-    for model in models:
-        rep = nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples, cfg.seed,
-                                           mesh=mesh)
-        d = rep.as_dict()
-        rows.append([d[c] for c in columns])
-    return columns, rows, []
+    reports = [nodal.monte_carlo_experiment(model, cfg.mesh_level, cfg.samples, cfg.seed,
+                                            mesh=mesh).as_dict() for model in models]
+    # as_dict's keys are the artifact's columns, in order
+    return list(reports[0]), [list(d.values()) for d in reports], []
 
 
 def _cmd_covariance_check(cfg: RunConfig):

@@ -86,7 +86,7 @@ def _check_theta(theta) -> np.ndarray:
     """Separation angles as a float array, refused unless each lies strictly
     inside (0, pi), where the aligned frames exist."""
     theta = np.asarray(theta, dtype=float)
-    if np.any((theta <= 0.0) | (theta >= np.pi)):
+    if not np.all((theta > 0.0) & (theta < np.pi)):  # a NaN fails both
         raise ValueError("separation angle must lie strictly inside (0, pi)")
     return theta
 

@@ -62,7 +62,6 @@ class MomentReport:
     nonsingular_contribution: float
     mc_std_error: float = 0.0
     mc_paths: int = 0
-    seed: int = 0
 
 
 def leray_expectation(m: int) -> float:
@@ -94,13 +93,15 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
 
     Draws N(0, Omega) through the symmetric square root, which on each
     2x2 block [[alpha, gamma], [gamma, alpha]] of Omega is [[p, q], [q, p]]
-    with p, q = (sqrt(alpha + gamma) +- sqrt(alpha - gamma)) / 2, in
-    antithetic pairs (z, -z); statistics are taken over pair means so the
-    reported standard error stays honest.  Every node is checked for a
+    with p, q = (sqrt(alpha + gamma) +- sqrt(alpha - gamma)) / 2.  The
+    paths count antithetic pairs (z, -z), but only mc_paths/2 vectors z are
+    drawn: |w| is even in z, so a pair's two values coincide and each draw
+    stands for its pair.  The standard error is therefore taken over the
+    mc_paths/2 independent draws.  Every node is checked for a
     degenerate Omega before any draw.  Node i draws from its own Philox
     stream keyed (seed, i), so the result is deterministic for a fixed seed
     and does not depend on evaluation order.  Every call draws each stream
-    from its start, so a call with more paths redraws the pairs of a call
+    from its start, so a call with more paths redraws the draws of a call
     with fewer and continues past them.
 
     The nodes are split into contiguous shares, one per usable CPU and at
@@ -115,8 +116,8 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
         raise ValueError(f"kernel Monte Carlo needs at least 4 paths (two antithetic "
                          f"pairs) for a standard error, got {mc_paths}")
     if mc_paths % 2:
-        raise ValueError(f"kernel Monte Carlo draws antithetic pairs, so the path count "
-                         f"must be even, got {mc_paths}")
+        raise ValueError(f"kernel Monte Carlo counts its paths in antithetic pairs, so the "
+                         f"path count must be even, got {mc_paths}")
     m = blocks.model.m
     eigs = covariance.omega_spectrum(blocks)
     bad = covariance.degenerate(eigs, blocks.scale)
@@ -286,16 +287,18 @@ def _nonsingular_nodes(model: SphereModel, eps0: float):
     return theta_c, nodes, weights * _mu_theta_weight(model.m, nodes)
 
 
-def _tips(model: SphereModel, theta_c: float) -> tuple[float, float]:
-    """Integrals of dmu / sqrt(1 - Q^2) over the singular tips [0, theta_c]
-    and [pi - theta_c, pi], where it is bounded in theta, from 16 panels."""
+def _tips(model: SphereModel, theta_c: float) -> float:
+    """Integral of dmu / sqrt(1 - Q^2) over the singular tips [0, theta_c]
+    and [pi - theta_c, pi], where it is bounded in theta.  The integrand
+    depends on Q_n^2 alone and so is even about theta = pi/2, like those of
+    ``specfun._integrate_even_theta``: the result is twice the [0, theta_c]
+    tip, from 16 panels."""
     leray = _leray_integrand(model)
 
     def f(thetas: np.ndarray) -> np.ndarray:
         return _mu_theta_weight(model.m, thetas) + leray(thetas)
 
-    return (specfun._integrate_theta(f, 0.0, theta_c, 16),
-            specfun._integrate_theta(f, math.pi - theta_c, math.pi, 16))
+    return 2.0 * specfun._integrate_theta(f, 0.0, theta_c, 16)
 
 
 def volume_second_moment(model: SphereModel, eps0: float = 0.9,
@@ -335,8 +338,7 @@ def volume_second_moment(model: SphereModel, eps0: float = 0.9,
         )
 
     # singular budget: integrate the kernel bound E/sqrt(1-Q^2) over B^c
-    lo, hi = _tips(model, theta_c)
-    sing = vol * model.E * (lo + hi)
+    sing = vol * model.E * _tips(model, theta_c)
 
     expectation = volume_expectation(model)
     second_moment = nonsing + sing
@@ -353,7 +355,6 @@ def volume_second_moment(model: SphereModel, eps0: float = 0.9,
         nonsingular_contribution=nonsing,
         mc_std_error=mc_se,
         mc_paths=paths,
-        seed=seed,
     )
 
 

@@ -21,6 +21,7 @@ are those of extracting each draw on its own, bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,6 +82,7 @@ class ExperimentReport:
     excluded: int = 0
 
     def as_dict(self) -> dict:
+        """The report by ``mc-verify`` column, in the artifact's order."""
         return {
             "m": self.model.m,
             "n": self.model.n,
@@ -213,31 +215,28 @@ def _draw_chunks(mesh: IcoMesh, draws):
     ``draws`` yields (sample, vertex values).  A draw's own steps (the zero
     vertex nudge and the sign test) run as it arrives; a chunk closes
     before the next draw would take its crossings past _CHUNK_CROSSINGS, so
-    a larger draw forms a chunk of its own.  Yields, per chunk, its samples,
-    the bounds of each draw's slice of the segments, the arc lengths and
-    the unit midpoints.
+    a larger draw forms a chunk of its own.  Yields (sample, arc lengths,
+    unit midpoints) for each draw in turn, its slices of the chunk's pass.
+    A chunk's vertex values and crossing indices are freed before its first
+    draw is yielded, so before any of its gradients is evaluated.
     """
     chunk, crossings = [], 0
-    for sample, values in draws:
-        vals = _vertex_values(sample, mesh, values)
-        changes = _sign_changes(mesh, vals)
-        if chunk and crossings + changes[0].size > _CHUNK_CROSSINGS:
-            yield _chunk_geometry(mesh, chunk)
+    for draw in itertools.chain(draws, [None]):  # None closes the last chunk
+        if draw is not None:
+            sample, values = draw
+            vals = _vertex_values(sample, mesh, values)
+            changes = _sign_changes(mesh, vals)
+        if chunk and (draw is None or crossings + changes[0].size > _CHUNK_CROSSINGS):
+            samples = [s for s, _, _ in chunk]
+            ends = np.cumsum([ch[0].size for _, _, ch in chunk])
+            lengths, mids = _crossing_geometry(mesh, [(v, ch) for _, v, ch in chunk])[:2]
+            chunk.clear()
+            for smp, lo, hi in zip(samples, [0, *ends], ends):
+                yield smp, lengths[lo:hi], mids[lo:hi]
             crossings = 0
-        chunk.append((sample, vals, changes))
-        crossings += changes[0].size
-    yield _chunk_geometry(mesh, chunk)
-
-
-def _chunk_geometry(mesh: IcoMesh, chunk: list) -> tuple:
-    """``_draw_chunks``'s yield for one chunk, without the endpoints.  It
-    empties ``chunk``, so the chunk's vertex values and crossing indices
-    are freed before its gradients are evaluated."""
-    samples = [s for s, _, _ in chunk]
-    bounds = np.cumsum([0] + [ch[0].size for _, _, ch in chunk])
-    lengths, mids = _crossing_geometry(mesh, [(v, ch) for _, v, ch in chunk])[:2]
-    chunk.clear()
-    return samples, bounds, lengths, mids
+        if draw is not None:
+            chunk.append((sample, vals, changes))
+            crossings += changes[0].size
 
 
 def _dot3(a, b) -> np.ndarray:
@@ -353,16 +352,13 @@ def monte_carlo_experiment(model: SphereModel, mesh_level: int, samples: int,
     l_vals = np.full(samples, np.nan)
     draws = ((ensemble.HarmonicSample(basis=basis, a=a, scale=scale), values)
              for a, values in zip(coefs, draw_values))
-    idx = 0
-    for chunk_samples, bounds, lengths, mids in _draw_chunks(mesh, draws):
-        for smp, lo, hi in zip(chunk_samples, bounds[:-1], bounds[1:]):
-            grads = ensemble.eval_gradient_ambient_many(smp, mids[lo:hi]).T
-            z_vals[idx] = 2.0 * lengths[lo:hi].sum()
-            try:
-                l_vals[idx] = 2.0 * _leray_sum(lengths[lo:hi], np.sqrt(_dot3(grads, grads)))
-            except (NearSingularSampleError, ValueError):
-                pass  # stays NaN, counted below
-            idx += 1
+    for idx, (smp, lengths, mids) in enumerate(_draw_chunks(mesh, draws)):
+        grads = ensemble.eval_gradient_ambient_many(smp, mids).T
+        z_vals[idx] = 2.0 * lengths.sum()
+        try:
+            l_vals[idx] = 2.0 * _leray_sum(lengths, np.sqrt(_dot3(grads, grads)))
+        except (NearSingularSampleError, ValueError):
+            pass  # stays NaN, counted below
 
     good = ~np.isnan(l_vals)
     excluded = int(samples - good.sum())

@@ -77,7 +77,7 @@ class SphereModel:
 
 def _check_t(t):
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
+    if not np.all(np.abs(t) <= 1.0):  # "not <=" refuses NaN too
         raise ValueError("argument of Q_n must lie in [-1, 1]")
     return t
 
@@ -125,8 +125,9 @@ def gegenbauer_eval_arrays(model: SphereModel, t):
 
     The derivative uses the mixed-degree relation
     (1-t^2) Q_n' = n (Q_{n-1} - t Q_n); the second derivative solves the
-    defining ODE (1-t^2) v'' - m t v' + E v = 0 for v''.  At t = +-1 both
-    relations degenerate and the ODE limits take over:
+    defining ODE (1-t^2) v'' - m t v' + E v = 0 for v''.  Both relations
+    are evaluated on the whole array.  Near t = +-1 they degenerate, so
+    wherever 1 - t^2 <= 1e-13 the ODE limits are written over them:
 
         Q_n'(1)  = E/m,                      Q_n'(-1)  = (-1)^{n+1} E/m,
         Q_n''(1) = (E - m) E / (m (m + 2)),  Q_n''(-1) = (-1)^n (E - m) E / (m (m + 2)).
@@ -142,18 +143,12 @@ def gegenbauer_eval_arrays(model: SphereModel, t):
         out = (q, z, z)
         return tuple(float(a[0]) for a in out) if scalar else out
 
-    one_minus_t2 = 1.0 - t * t
-    dq = np.empty_like(t)
-    d2q = np.empty_like(t)
-    interior = one_minus_t2 > 1e-13
-    if np.any(interior):
-        ti = t[interior]
-        w = one_minus_t2[interior]
-        qn = q[interior]
-        d = n * (q_prev[interior] - ti * qn) / w
-        dq[interior] = d
-        d2q[interior] = (m * ti * d - E * qn) / w
-    edge = ~interior
+    w = 1.0 - t * t
+    # the pole points divide by a vanishing w here and are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dq = n * (q_prev - t * q) / w
+        d2q = (m * t * dq - E * q) / w
+    edge = w <= 1e-13
     if np.any(edge):
         neg = t[edge] < 0
         # parity Q(-t) = (-1)^n Q(t) transfers the t=1 ODE limits to t=-1

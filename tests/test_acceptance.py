@@ -310,8 +310,8 @@ def test_criterion_9_kernel_oracles(kernel_reports):
     budget_ok = True
     for n in (20, 40, 80, 160):
         model_n = sf.SphereModel(2, n)
-        lo, hi = mo._tips(model_n, mo._split_theta(model_n, 0.9))
-        budget = ge.sphere_volume(2) * model_n.E * (lo + hi)
+        tips = mo._tips(model_n, mo._split_theta(model_n, 0.9))
+        budget = ge.sphere_volume(2) * model_n.E * tips
         budget_ok &= budget <= 1.5 * fit * model_n.E * epsilon_rate(2, n)
     check("criterion 9: kernel oracles and singular budget", [
         (f"independence case K = E/8 within 3 SE (got {val0:.4f} +- {se0:.4f})",

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -392,3 +393,32 @@ def test_leray_variance_does_not_depend_on_eps0():
     assert _data_rows(["leray-variance", "--n", "10", "--eps0", "0.2"]) == default
     assert (_data_rows(["leray-variance", "--n", "10", "--eps0", "0.5"])
             == _data_rows(["leray-variance", "--n", "10", "--eps0", "0.9"]))
+
+
+def _readme_schemas():
+    """Column list of each command under the README's "Output schemas"
+    heading, its backquoted pieces joined across line breaks."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split(f"### Output schemas (version {cli.SCHEMA_VERSION})\n")[1]
+    section = section.split("\n#")[0].replace("`\n  `", "")
+    return {cmd: cols.split(",") for cmd, cols in re.findall(r"^- `([a-z-]+)`: `([^`]+)`",
+                                                             section, flags=re.M)}
+
+
+@pytest.mark.parametrize("args", [
+    ["moments-table", "--n", "3"],
+    ["leray-variance", "--n", "5"],
+    ["volume-variance", "--n", "8", "--mc-paths", "2000", "--seed", "2"],
+    ["mc-verify", "--n", "2", "--mesh-level", "4", "--samples", "3"],
+    ["covariance-check", "--n", "3", "--theta-points", "5"],
+    ["kernel-profile", "--n", "5", "--theta-points", "3", "--mc-paths", "200"],
+], ids=lambda args: args[0])
+def test_csv_header_matches_readme_schema(args):
+    schemas = _readme_schemas()
+    assert sorted(schemas) == sorted(cli._COMMANDS)
+    code, text = run_cli(args)
+    assert code == 0
+    _, header, rows = parse_csv(text)
+    assert header == schemas[args[0]]
+    assert rows and all(len(row) == len(header) for row in rows)

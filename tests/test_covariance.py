@@ -66,6 +66,15 @@ def test_finite_difference_blocks_domain():
             cv.finite_difference_blocks(model, theta)
 
 
+@pytest.mark.parametrize("build", [cv.blocks_at, cv.finite_difference_blocks])
+@pytest.mark.parametrize("theta", [math.nan, [1.0, math.nan], np.array([math.nan, 2.0])],
+                         ids=["scalar", "list", "array"])
+def test_nan_separation_is_refused(build, theta):
+    # a NaN fails "0 < theta < pi" but passes "theta <= 0 or theta >= pi"
+    with pytest.raises(ValueError, match="strictly inside"):
+        build(sf.SphereModel(2, 5), theta)
+
+
 # covariance-check's finite-difference grid
 FD_GRID = np.linspace(0.4, math.pi - 0.4, 7)
 

@@ -338,6 +338,25 @@ def test_singular_budget_tracks_epsilon_rate(volume_reports):
         assert budget <= 1.5 * fit * model.E * epsilon_rate(2, n)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 10, 40, 160])
+def test_tips_match_both_tips_integrated(m, n):
+    # dmu / sqrt(1 - Q^2) is even about theta = pi/2, so twice the [0, theta_c]
+    # tip stands for both
+    model = sf.SphereModel(m, n)
+    theta_c = mo._split_theta(model, 0.9)
+    leray = mo._leray_integrand(model)
+
+    def f(thetas):
+        return mo._mu_theta_weight(m, thetas) + leray(thetas)
+
+    both = (sf._integrate_theta(f, 0.0, theta_c, 16)
+            + sf._integrate_theta(f, math.pi - theta_c, math.pi, 16))
+    tips = mo._tips(model, theta_c)
+    assert isinstance(tips, float)
+    assert tips == pytest.approx(both, rel=1e-12)
+
+
 def test_volume_independence_sanity():
     # factorized kernel over the full measure reproduces the squared expectation
     model = sf.SphereModel(2, 10)

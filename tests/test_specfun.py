@@ -58,6 +58,15 @@ def test_q_domain_error():
         sf.gegenbauer_q(sf.SphereModel(2, 3), 1.2)
 
 
+@pytest.mark.parametrize("evaluate", [sf.gegenbauer_q, sf.gegenbauer_eval_arrays])
+@pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], np.array([1.0, math.nan, -1.0])],
+                         ids=["scalar", "list", "array"])
+def test_nan_argument_is_refused(evaluate, t):
+    # np.abs(nan) > 1 is False, so a NaN needs a check that it fails
+    with pytest.raises(ValueError, match="must lie in"):
+        evaluate(sf.SphereModel(2, 5), t)
+
+
 def _allocating_q_pair(model, t):
     # the recurrence as it stood with a fresh array per step
     m, n = model.m, model.n
@@ -122,6 +131,20 @@ def test_endpoint_derivatives():
     # second derivative at 1 from the differentiated ODE
     _, _, d2q = sf.gegenbauer_eval_arrays(sf.SphereModel(2, 2), 1.0)
     assert d2q == pytest.approx((6 - 2) * 6 / (2 * 4), abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 4, 5, 40])
+def test_pole_band_takes_the_ode_limits(m, n):
+    # 1 - t^2 is about 4e-14 at t = +-(1 - 2e-14), inside the 1e-13 band
+    model = sf.SphereModel(m, n)
+    E = model.E
+    t = np.array([1.0 - 2e-14, -(1.0 - 2e-14), 1.0, -1.0])
+    _, dq, d2q = sf.gegenbauer_eval_arrays(model, t)
+    sign = np.array([1.0, -1.0, 1.0, -1.0])
+    assert np.array_equal(dq, sign ** (n + 1) * (E / m))
+    assert np.array_equal(d2q, sign ** n * (E - m) * E / (m * (m + 2)))
+    assert 1.0 - t[0] ** 2 > 0.0  # the band, not only the endpoints
 
 
 def test_derivative_matches_finite_difference():
