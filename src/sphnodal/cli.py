@@ -145,6 +145,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg.n = [cfg.n]
     if cfg.seed < 0:
         raise SystemExit("error: seed must be >= 0")
+    if cfg.mesh_level < 0:
+        raise SystemExit("error: mesh_level must be >= 0")
     if cfg.mesh_level > 9:
         raise SystemExit("error: mesh_level must be <= 9")
     if not (0.0 < cfg.eps0 < 1.0):
@@ -189,15 +191,14 @@ def _cmd_volume_variance(cfg: RunConfig):
     columns = ["m", "n", "N", "E", "expectation", "second_moment", "variance",
                "theory_scale", "ratio", "nonsingular", "singular_budget",
                "mc_std_error", "mc_paths"]
-    rows = []
-    for n in cfg.n:
-        model = specfun.SphereModel(cfg.m, n)
-        rep = moments.volume_second_moment(model, cfg.eps0, mc_paths=cfg.mc_paths,
-                                           seed=cfg.seed)
-        rows.append([cfg.m, n, model.N, model.E, rep.expectation,
-                     rep.second_moment, rep.variance, rep.theory_asymptotic,
-                     rep.ratio, rep.nonsingular_contribution,
-                     rep.singular_contribution, rep.mc_std_error, rep.mc_paths])
+    models = [specfun.SphereModel(cfg.m, n) for n in cfg.n]
+    reports = moments.volume_second_moments(models, cfg.eps0, mc_paths=cfg.mc_paths,
+                                            seed=cfg.seed)
+    rows = [[cfg.m, rep.model.n, rep.model.N, rep.model.E, rep.expectation,
+             rep.second_moment, rep.variance, rep.theory_asymptotic,
+             rep.ratio, rep.nonsingular_contribution,
+             rep.singular_contribution, rep.mc_std_error, rep.mc_paths]
+            for rep in reports]
     return columns, rows, []
 
 

@@ -11,7 +11,9 @@ second moment needs the two-point Kac-Rice kernel
 
 which has no closed form for general cross covariance and is estimated by
 seeded Monte Carlo at every quadrature node.  The nodes are split over the
-usable CPUs, and the estimate does not depend on their number.  Only this
+usable CPUs, and the estimate does not depend on their number.  Node i's
+draws depend on the seed and i alone, so a sweep over degrees draws each
+node's stream once and shares it across the degrees.  Only this
 second moment splits [-1, 1], at +-(1 - c0/n^2), into a nonsingular bulk,
 where the kernel is integrated, and a singular remainder, where only the
 bound K <= const * E/sqrt(1-u^2) is integrated and reported as a separate
@@ -40,6 +42,7 @@ __all__ = [
     "leray_variance",
     "leray_variance_asymptotic",
     "volume_second_moment",
+    "volume_second_moments",
 ]
 
 
@@ -86,10 +89,13 @@ def volume_expectation(model: SphereModel) -> float:
 # Kernel Monte Carlo
 # ---------------------------------------------------------------------------
 
-def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
-             seed: int) -> tuple[np.ndarray, np.ndarray]:
+def kernel_K(blocks: covariance.CovarianceBlocks | tuple[covariance.CovarianceBlocks, ...],
+             mc_paths: int, seed: int):
     """Monte Carlo estimate of the kernel at every separation of the record,
-    with its standard error; both have theta's shape.
+    with its standard error; both have theta's shape.  ``blocks`` may also
+    be a tuple of records of one sphere dimension, and then a tuple of
+    ``(values, errors)`` pairs is returned, one per record, each equal bit
+    for bit to its single-record call.
 
     Draws N(0, Omega) through the symmetric square root, which on each
     2x2 block [[alpha, gamma], [gamma, alpha]] of Omega is [[p, q], [q, p]]
@@ -97,20 +103,23 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
     paths count antithetic pairs (z, -z), but only mc_paths/2 vectors z are
     drawn: |w| is even in z, so a pair's two values coincide and each draw
     stands for its pair.  The standard error is therefore taken over the
-    mc_paths/2 independent draws.  Every node is checked for a
-    degenerate Omega before any draw.  Node i draws from its own Philox
-    stream keyed (seed, i), so the result is deterministic for a fixed seed
-    and does not depend on evaluation order.  Every call draws each stream
-    from its start, so a call with more paths redraws the draws of a call
-    with fewer and continues past them.
+    mc_paths/2 independent draws.  Every node of every record is checked
+    for a degenerate Omega before any draw.  Node i draws from its own
+    Philox stream keyed (seed, i), so the result is deterministic for a
+    fixed seed and does not depend on evaluation order.  Node i's draw is
+    made once per call and serves every record that holds a node i.  Every
+    call draws each stream from its start, so a call with more paths
+    redraws the draws of a call with fewer and continues past them.
 
-    The nodes are split into contiguous shares, one per usable CPU and at
-    most one per node; the calling thread runs the first share and a
-    thread each of the others.  The draws, which take most of the time,
-    release the interpreter lock, so the shares overlap.  Each node's
-    arithmetic is the same in every share, so values and errors are the
-    same bit for bit at any CPU count.  An error in any share is raised
-    here after every share has ended.
+    The nodes are split into strided shares, node i going to share
+    i mod S, with S the number of usable CPUs and at most the number of
+    nodes; the calling thread runs share 0 and a thread each of the others.
+    The draws, which take most of the time, release the interpreter lock,
+    so the shares overlap, and the stride spreads the nodes that several
+    records hold evenly over them.  Each node's arithmetic is the same in
+    every share, so values and errors are the same bit for bit at any CPU
+    count.  An error in any share is raised here after every share has
+    ended.
     """
     if mc_paths < 4:
         raise ValueError(f"kernel Monte Carlo needs at least 4 paths (two antithetic "
@@ -118,33 +127,25 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
     if mc_paths % 2:
         raise ValueError(f"kernel Monte Carlo counts its paths in antithetic pairs, so the "
                          f"path count must be even, got {mc_paths}")
-    m = blocks.model.m
-    eigs = covariance.omega_spectrum(blocks)
-    bad = covariance.degenerate(eigs, blocks.scale)
-    if np.any(bad):
-        thetas = np.broadcast_to(blocks.theta, bad.shape)[bad]
-        smallest = float(eigs[bad].min())
-        raise covariance.DegenerateCovarianceError(
-            f"kernel undefined: reduced covariance degenerate at {thetas.size} quadrature "
-            f"nodes (first few thetas: {[round(float(t), 4) for t in thetas[:5]]}, "
-            f"min eigenvalue {smallest:g}); increase the degree",
-            eigenvalue=smallest,
-            theta=float(thetas[0]),
-        )
-    roots = np.sqrt(eigs)
-    p = 0.5 * (roots[..., 1] + roots[..., 0]).reshape(-1, m)
-    q = 0.5 * (roots[..., 1] - roots[..., 0]).reshape(-1, m)
+    records = blocks if isinstance(blocks, tuple) else (blocks,)
+    m = records[0].model.m
+    if any(record.model.m != m for record in records):
+        raise ValueError("the records of one kernel pass must share the sphere dimension")
+    spectra = [_omega_spectrum_checked(record) for record in records]
+    roots = [np.sqrt(eigs) for eigs in spectra]
+    ps = [0.5 * (r[..., 1] + r[..., 0]).reshape(-1, m) for r in roots]
+    qs = [0.5 * (r[..., 1] - r[..., 0]).reshape(-1, m) for r in roots]
     pairs = mc_paths // 2
-    means = np.empty(len(p))
-    sds = np.empty(len(p))
-    # shares of contiguous nodes, which write disjoint slots of means and sds
-    shares = max(1, min(_usable_cpus(), len(p)))
-    bounds = [len(p) * k // shares for k in range(shares + 1)]
+    means = [np.empty(len(p)) for p in ps]
+    sds = [np.empty(len(p)) for p in ps]
+    # strided shares of the node indices, which write disjoint slots of means and sds
+    nodes = max(len(p) for p in ps)
+    shares = max(1, min(_usable_cpus(), nodes))
     failures = [None] * shares
 
     def run(share: int) -> None:
         try:
-            _kernel_nodes(p, q, pairs, seed, bounds[share], bounds[share + 1], means, sds)
+            _kernel_nodes(ps, qs, pairs, seed, range(share, nodes, shares), means, sds)
         except BaseException as exc:  # raised in the caller after the join
             failures[share] = exc
 
@@ -157,45 +158,71 @@ def kernel_K(blocks: covariance.CovarianceBlocks, mc_paths: int,
     for exc in failures:
         if exc is not None:
             raise exc
-    denom = 2.0 * math.pi * np.sqrt(1.0 - np.asarray(blocks.u) ** 2)
-    shape = bad.shape
-    return means.reshape(shape) / denom, sds.reshape(shape) / math.sqrt(pairs) / denom
+    results = []
+    for record, eigs, mean, sd in zip(records, spectra, means, sds):
+        denom = 2.0 * math.pi * np.sqrt(1.0 - np.asarray(record.u) ** 2)
+        shape = eigs.shape[:-2]
+        results.append((mean.reshape(shape) / denom, sd.reshape(shape) / math.sqrt(pairs) / denom))
+    return tuple(results) if isinstance(blocks, tuple) else results[0]
 
 
-def _kernel_nodes(p: np.ndarray, q: np.ndarray, pairs: int, seed: int, lo: int, hi: int,
-                  means: np.ndarray, sds: np.ndarray) -> None:
-    """Pair-mean statistics of |w_1||w_2| at nodes lo..hi-1, into means and
-    sds.  It runs on helper threads, so it calls numpy and private helpers
-    only: the benchmark's span recorder wraps the public functions and is
-    not thread-safe."""
-    m = p.shape[1]
+def _omega_spectrum_checked(blocks: covariance.CovarianceBlocks) -> np.ndarray:
+    """Omega's eigenvalue pairs at every node of the record.  If any node is
+    degenerate it raises, with the count of such nodes and their first
+    few angles."""
+    eigs = covariance.omega_spectrum(blocks)
+    bad = covariance.degenerate(eigs, blocks.scale)
+    if np.any(bad):
+        thetas = np.broadcast_to(blocks.theta, bad.shape)[bad]
+        smallest = float(eigs[bad].min())
+        raise covariance.DegenerateCovarianceError(
+            f"kernel undefined: reduced covariance degenerate at {thetas.size} quadrature "
+            f"nodes (first few thetas: {[round(float(t), 4) for t in thetas[:5]]}, "
+            f"min eigenvalue {smallest:g}); increase the degree",
+            eigenvalue=smallest,
+            theta=float(thetas[0]),
+        )
+    return eigs
+
+
+def _kernel_nodes(ps: list, qs: list, pairs: int, seed: int, nodes: range,
+                  means: list, sds: list) -> None:
+    """Pair-mean statistics of |w_1||w_2| at the given node indices of every
+    record that holds them, into that record's means and sds.  Each node's
+    z is drawn once for all the records.  It runs on helper threads, so it
+    calls numpy and private helpers only: the benchmark's span recorder
+    wraps the public functions and is not thread-safe."""
+    m = ps[0].shape[1]
     j = np.arange(m)
     root = np.zeros((2 * m, 2 * m))
     z = np.empty((pairs, 2 * m))
     w = np.empty_like(z)
     prod = np.empty(pairs)
     other = np.empty(pairs)
-    for i in range(lo, hi):
-        root[j, j] = root[m + j, m + j] = p[i]
-        root[j, m + j] = root[m + j, j] = q[i]
+    for i in nodes:
         bits = np.random.Philox(np.random.SeedSequence(_node_seed(seed, i)))
         np.random.Generator(bits).standard_normal(out=z)
-        np.matmul(z, root, out=w)
-        np.multiply(w, w, out=w)
-        # |w_1|^2 and |w_2|^2 summed column by column in index order, the
-        # order of the reduction inside np.linalg.norm, so the bits match it
-        np.add(w[:, 0], w[:, 1], out=prod)
-        np.add(w[:, m], w[:, m + 1], out=other)
-        for k in range(2, m):
-            prod += w[:, k]
-            other += w[:, m + k]
-        np.sqrt(prod, out=prod)
-        np.sqrt(other, out=other)
-        prod *= other
-        # |w| is even in z, so each antithetic partner repeats the value and
-        # the pair mean is the value itself
-        means[i] = np.mean(prod)
-        sds[i] = np.std(prod, ddof=1)
+        for p, q, mean, sd in zip(ps, qs, means, sds):
+            if i >= len(p):
+                continue
+            root[j, j] = root[m + j, m + j] = p[i]
+            root[j, m + j] = root[m + j, j] = q[i]
+            np.matmul(z, root, out=w)
+            np.multiply(w, w, out=w)
+            # |w_1|^2 and |w_2|^2 summed column by column in index order, the
+            # order of the reduction inside np.linalg.norm, so the bits match it
+            np.add(w[:, 0], w[:, 1], out=prod)
+            np.add(w[:, m], w[:, m + 1], out=other)
+            for k in range(2, m):
+                prod += w[:, k]
+                other += w[:, m + k]
+            np.sqrt(prod, out=prod)
+            np.sqrt(other, out=other)
+            prod *= other
+            # |w| is even in z, so each antithetic partner repeats the value and
+            # the pair mean is the value itself
+            mean[i] = np.mean(prod)
+            sd[i] = np.std(prod, ddof=1)
 
 
 def _usable_cpus() -> int:
@@ -320,26 +347,67 @@ def volume_second_moment(model: SphereModel, eps0: float = 0.9,
     redraws every node's stream from its start, so a widened run equals a
     single run at the final path count.  Every node is checked for
     degeneracy before any draw, so the error lists every offending angle.
+    ``volume_second_moments`` gives the same report for each degree of a
+    sweep and draws each node's stream once for all of them.
     """
-    vol = sphere_volume(model.m)
     theta_c, nodes, weights = _nonsingular_nodes(model, eps0)
     blocks = covariance.blocks_at(model, nodes)
 
     for paths in (mc_paths, 2 * mc_paths, 4 * mc_paths, 8 * mc_paths):
-        vals, errs = kernel_K(blocks, paths, seed)
-        nonsing = vol * float(np.sum(weights * vals))
-        mc_se = vol * float(np.sqrt(np.sum((weights * errs) ** 2)))
+        nonsing, mc_se = _nonsingular_integral(model, weights, *kernel_K(blocks, paths, seed))
         if mc_se <= MC_RTOL * abs(nonsing):
-            break
-    else:
-        raise RuntimeError(
-            f"kernel Monte Carlo error {mc_se:g} still above tolerance "
-            f"{MC_RTOL:g} * {abs(nonsing):g} after widening to {paths} paths"
-        )
+            return _report(model, theta_c, nonsing, mc_se, paths)
+    raise RuntimeError(
+        f"kernel Monte Carlo error {mc_se:g} still above tolerance "
+        f"{MC_RTOL:g} * {abs(nonsing):g} after widening to {paths} paths"
+    )
 
-    # singular budget: integrate the kernel bound E/sqrt(1-Q^2) over B^c
-    sing = vol * model.E * _tips(model, theta_c)
 
+def volume_second_moments(models: list[SphereModel], eps0: float = 0.9,
+                          mc_paths: int = 20000, seed: int = 0) -> list[MomentReport]:
+    """``[volume_second_moment(model, eps0, mc_paths, seed) for model in
+    models]``, equal field by field, with one kernel pass for the sweep.
+
+    Each degree's nodes and covariance blocks are built, and checked for
+    degeneracy, in order before any draw, so a degenerate degree fails the
+    sweep with the error its own call raises.  One ``kernel_K`` call at
+    ``mc_paths`` then serves every degree: node i's stream keys on
+    (seed, i) alone, so it is drawn once and shared by every degree with
+    more than i nodes.  A degree whose error misses ``MC_RTOL`` in that pass
+    is handed to ``volume_second_moment``, which redraws from ``mc_paths``
+    and widens as it always does.
+    """
+    prepared, records = [], []
+    for model in models:
+        theta_c, nodes, weights = _nonsingular_nodes(model, eps0)
+        records.append(covariance.blocks_at(model, nodes))
+        _omega_spectrum_checked(records[-1])
+        prepared.append((model, theta_c, weights))
+    reports = []
+    for (model, theta_c, weights), (values, errors) in zip(
+            prepared, kernel_K(tuple(records), mc_paths, seed)):
+        nonsing, mc_se = _nonsingular_integral(model, weights, values, errors)
+        if mc_se <= MC_RTOL * abs(nonsing):
+            reports.append(_report(model, theta_c, nonsing, mc_se, mc_paths))
+        else:
+            reports.append(volume_second_moment(model, eps0, mc_paths, seed))
+    return reports
+
+
+def _nonsingular_integral(model: SphereModel, weights: np.ndarray, values: np.ndarray,
+                          errors: np.ndarray) -> tuple[float, float]:
+    """|S^m| times the dmu sum of one kernel pass over the nonsingular
+    nodes, and its Monte Carlo standard error."""
+    vol = sphere_volume(model.m)
+    return (vol * float(np.sum(weights * values)),
+            vol * float(np.sqrt(np.sum((weights * errors) ** 2))))
+
+
+def _report(model: SphereModel, theta_c: float, nonsing: float, mc_se: float,
+            paths: int) -> MomentReport:
+    """The report of a converged kernel pass, with the singular budget: the
+    kernel bound E/sqrt(1-Q^2) integrated over the tips."""
+    sing = sphere_volume(model.m) * model.E * _tips(model, theta_c)
     expectation = volume_expectation(model)
     second_moment = nonsing + sing
     variance = second_moment - expectation**2

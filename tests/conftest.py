@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sphnodal import ensemble, geometry
+from sphnodal import ensemble, geometry, moments, specfun
 
 # Envelope constant for the Hilb approximation error bound, fitted once at
 # (m=2, n=50) and frozen.  The split between the two error regimes sits at
@@ -42,6 +42,16 @@ def sphere_level6():
 @pytest.fixture(scope="session")
 def sphere_level7():
     return icosphere_by_sorted_edges(7)
+
+
+@pytest.fixture(scope="session")
+def volume_reports():
+    """Volume second moments at m = 2, n = 10, 20, 40, from 20000 paths at
+    seed 3, by degree: the reports of criteria 6 and 9 and of the moment
+    tests."""
+    models = [specfun.SphereModel(2, n) for n in (10, 20, 40)]
+    return {rep.model.n: rep
+            for rep in moments.volume_second_moments(models, mc_paths=20000, seed=3)}
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 One test per criterion; each prints a PASS/FAIL line (run with ``-s`` to
 watch them live).  Shared heavy artifacts (meshes, the reference Monte
-Carlo run, kernel-quadrature reports) are module-scoped fixtures.
+Carlo run) are module-scoped fixtures; the kernel-quadrature reports are
+conftest.py's session-scoped ``volume_reports``.
 """
 
 import io
@@ -61,12 +62,6 @@ def reference_mc_run(meshes):
     with pytest.warns(UserWarning, match="under-resolved"):
         return nd.monte_carlo_experiment(sf.SphereModel(2, 20), 5, samples=2000,
                                          seed=7, mesh=meshes(5))
-
-
-@pytest.fixture(scope="module")
-def kernel_reports():
-    return {n: mo.volume_second_moment(sf.SphereModel(2, n), mc_paths=20000, seed=3)
-            for n in (10, 20, 40)}
 
 
 def test_criterion_1_addition_theorem_gate():
@@ -177,10 +172,10 @@ def test_criterion_5_volume_expectation(reference_mc_run, meshes):
     ])
 
 
-def test_criterion_6_volume_variance_scaling(kernel_reports, meshes):
+def test_criterion_6_volume_variance_scaling(volume_reports, meshes):
     # quadrature-kernel side
     quad_vals = {}
-    for n, rep in kernel_reports.items():
+    for n, rep in volume_reports.items():
         model = sf.SphereModel(2, n)
         quad_vals[n] = rep.variance * math.sqrt(model.N) / model.E
     # Monte Carlo side, meshes fine enough for every degree
@@ -295,7 +290,7 @@ def test_criterion_8_moment_scaling_suite():
     ])
 
 
-def test_criterion_9_kernel_oracles(kernel_reports):
+def test_criterion_9_kernel_oracles(volume_reports):
     model = sf.SphereModel(2, 2)
     blocks0 = cv.CovarianceBlocks(model=model, theta=1.0, u=0.0, d_long=0.0,
                                   h_long=0.0, h_trans=0.0, scale=3.0)
@@ -305,7 +300,7 @@ def test_criterion_9_kernel_oracles(kernel_reports):
     val5, se5 = mo.kernel_K(blocks5, 200000, seed=11)
     target5 = 0.75 / math.sqrt(0.75)
 
-    fit = kernel_reports[10].singular_contribution / (
+    fit = volume_reports[10].singular_contribution / (
         sf.SphereModel(2, 10).E * epsilon_rate(2, 10))
     budget_ok = True
     for n in (20, 40, 80, 160):

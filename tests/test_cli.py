@@ -158,6 +158,18 @@ def test_volume_variance_command():
     assert int(row["mc_paths"]) >= 4000
 
 
+def test_volume_variance_sweep_prints_the_rows_of_single_degree_runs():
+    # one kernel pass serves the sweep; degree 8 widens on its own, and the
+    # degrees need not be sorted
+    common = ["--mc-paths", "2000", "--seed", "3"]
+    code, text = run_cli(["volume-variance", "--n", "16,8,15", *common])
+    assert code == 0
+    alone = [parse_csv(run_cli(["volume-variance", "--n", n, *common])[1])[2][0]
+             for n in ("16", "8", "15")]
+    assert parse_csv(text)[2] == alone
+    assert [row[-1] for row in alone] == ["2000", "4000", "2000"]
+
+
 def test_json_format():
     code, text = run_cli(["leray-variance", "--m", "2", "--n", "10", "--format", "json"])
     assert code == 0
@@ -262,6 +274,19 @@ def test_negative_seed_is_rejected(tmp_path, source):
     with pytest.raises(SystemExit) as exc:
         cli.main(["mc-verify", "--n", "5", "--mesh-level", "3", *args])
     assert exc.value.code == "error: seed must be >= 0"
+
+
+@pytest.mark.parametrize("level, message", [(-1, "error: mesh_level must be >= 0"),
+                                            (10, "error: mesh_level must be <= 9")])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_mesh_level_out_of_range_is_rejected(tmp_path, source, level, message):
+    # refused with the key's name before the mesh is built
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mesh_level": level}))
+    args = ["--mesh-level", str(level)] if source == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc-verify", "--n", "3", "--samples", "5", *args])
+    assert exc.value.code == message
 
 
 def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
@@ -372,11 +397,12 @@ def _cli_stdout_on_cpus(cpus, args):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="the platform cannot narrow a process's CPUs")
 @pytest.mark.parametrize("args", [
-    ["volume-variance", "--n", "10", "--mc-paths", "2000", "--seed", "1"],
+    ["volume-variance", "--n", "10,12", "--mc-paths", "2000", "--seed", "1"],
     ["kernel-profile", "--n", "8", "--theta-points", "20", "--mc-paths", "400", "--seed", "2"],
 ], ids=["volume-variance", "kernel-profile"])
 def test_kernel_commands_do_not_depend_on_the_cpu_count(args):
-    # kernel_K splits its nodes over the usable CPUs
+    # kernel_K splits its nodes over the usable CPUs; the two degrees of the
+    # volume sweep share one pass, whose strided shares hold nodes of both
     assert _cli_stdout_on_cpus("one", args) == _cli_stdout_on_cpus("all", args)
 
 

@@ -175,8 +175,8 @@ def test_kernel_starts_no_thread_for_one_share(monkeypatch, cpus, theta):
 @pytest.mark.parametrize("node", [0, 5], ids=["first share", "last share"])
 @pytest.mark.parametrize("cpus", [2, 3, 4])
 def test_kernel_raises_an_error_of_any_share(monkeypatch, cpus, node):
-    # of the six nodes, node 0 lies in the caller's share and node 5 in the
-    # last helper's at every count
+    # of the six nodes, node 0 lies in the caller's share and node 5 in a
+    # helper's at every count: the last helper's at 2 and 3 shares
     blocks = cv.blocks_at(sf.SphereModel(2, 9), np.linspace(0.4, 2.6, 6).reshape(2, 3))
     failing = mo._node_seed(6, node)
     philox = np.random.Philox
@@ -195,6 +195,54 @@ def test_kernel_raises_an_error_of_any_share(monkeypatch, cpus, node):
     assert result is None
     # every helper was joined before the error reached the caller
     assert threading.active_count() == threads
+
+
+# (degree, angles) of records with unequal node counts in unsorted order,
+# one degree twice
+SWEEP_RECORDS = [
+    (9, np.linspace(0.4, 2.6, 7)),
+    (6, np.linspace(0.5, 2.4, 4).reshape(2, 2)),
+    (12, np.linspace(0.3, 2.8, 10)),
+    (6, np.array([0.7, 1.9, 2.3])),
+]
+
+
+def _sweep_records():
+    return tuple(cv.blocks_at(sf.SphereModel(2, n), thetas) for n, thetas in SWEEP_RECORDS)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_kernel_sweep_equals_its_single_record_calls(monkeypatch, cpus):
+    records = _sweep_records()
+    monkeypatch.setattr(mo, "_usable_cpus", lambda: cpus)
+    swept = mo.kernel_K(records, 2000, seed=8)
+    assert isinstance(swept, tuple) and len(swept) == len(records)
+    for record, (values, errors) in zip(records, swept):
+        want_values, want_errors = mo.kernel_K(record, 2000, seed=8)
+        assert values.shape == errors.shape == np.shape(record.theta)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(errors, want_errors)
+
+
+def test_kernel_sweep_draws_each_node_stream_once(monkeypatch):
+    records = _sweep_records()
+    drawn = []
+    node_seed = mo._node_seed
+
+    def counted(seed, index):
+        drawn.append(index)
+        return node_seed(seed, index)
+
+    monkeypatch.setattr(mo, "_node_seed", counted)
+    mo.kernel_K(records, 400, seed=8)
+    # the longest record's ten streams serve all 24 nodes
+    assert sorted(drawn) == list(range(max(np.size(r.theta) for r in records)))
+
+
+def test_kernel_sweep_needs_one_sphere_dimension():
+    records = (cv.blocks_at(sf.SphereModel(2, 9), 1.1), cv.blocks_at(sf.SphereModel(3, 9), 1.1))
+    with pytest.raises(ValueError, match="share the sphere dimension"):
+        mo.kernel_K(records, 400, seed=8)
 
 
 def test_kernel_deterministic():
@@ -302,14 +350,6 @@ def test_singular_interval_mass_scaling():
 # ---------------------------------------------------------------------------
 # Volume second moment
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def volume_reports():
-    return {
-        n: mo.volume_second_moment(sf.SphereModel(2, n), mc_paths=20000, seed=3)
-        for n in (10, 20, 40)
-    }
-
 
 def test_volume_second_moment_invariants(volume_reports):
     for n, rep in volume_reports.items():
@@ -423,6 +463,29 @@ def test_volume_widening_stops_at_eight_times_the_paths(kernel_calls):
     with pytest.raises(RuntimeError, match="after widening to 800 paths"):
         mo.volume_second_moment(sf.SphereModel(2, 3), eps0=0.99, mc_paths=100, seed=7)
     assert kernel_calls == [100, 200, 400, 800]
+
+
+def test_volume_sweep_equals_its_single_degree_calls(kernel_calls):
+    # at 2000 paths degree 8 misses MC_RTOL and widens once; 16 and 15 do not
+    models = [sf.SphereModel(2, n) for n in (16, 8, 15)]
+    swept = mo.volume_second_moments(models, mc_paths=2000, seed=3)
+    # the shared pass of all three degrees, then degree 8's own two passes
+    assert kernel_calls == [2000, 2000, 4000]
+    kernel_calls.clear()
+    single = [mo.volume_second_moment(model, mc_paths=2000, seed=3) for model in models]
+    assert [rep.mc_paths for rep in single] == [2000, 4000, 2000]
+    assert [vars(rep) for rep in swept] == [vars(rep) for rep in single]
+
+
+def test_volume_sweep_refuses_a_degenerate_degree_before_any_draw(kernel_calls):
+    with pytest.raises(cv.DegenerateCovarianceError) as alone:
+        mo.volume_second_moment(sf.SphereModel(2, 2), mc_paths=2000, seed=0)
+    kernel_calls.clear()
+    with pytest.raises(cv.DegenerateCovarianceError) as swept:
+        mo.volume_second_moments([sf.SphereModel(2, 10), sf.SphereModel(2, 2)],
+                                 mc_paths=2000, seed=0)
+    assert kernel_calls == []
+    assert str(swept.value) == str(alone.value)
 
 
 def test_leray_integrand_raises_where_q_reaches_one():
